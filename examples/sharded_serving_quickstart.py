@@ -2,11 +2,12 @@
 
 Trains a small retrofitted model, persists it through the
 :class:`~repro.serving.EmbeddingStore`, and serves it from a
-:class:`~repro.serving.ShardedServingTier`: text values hash-partitioned
-across shard worker processes, each slicing its rows out of one read-only
-memory-mapped matrix (pages shared across workers — no per-process full
-copy).  The retrofit applier runs in its own process and publishes
-through the store's versioned delta records; a
+:class:`~repro.serving.ReplicatedServingTier` laid out as two shards of
+one replica each: text values hash-partitioned across worker processes,
+each slicing its rows out of one read-only memory-mapped matrix (pages
+shared across workers — no per-process full copy).  The retrofit
+primary runs in its own process and publishes through the store's
+versioned delta records, which every worker tails; a
 :class:`~repro.serving.RateLimiter` throttles write admission so bursts
 degrade writes, never reads.
 
@@ -26,8 +27,8 @@ from repro.retrofit.pipeline import RetroPipeline
 from repro.serving import (
     EmbeddingStore,
     RateLimiter,
+    ReplicatedServingTier,
     ServingSession,
-    ShardedServingTier,
 )
 
 
@@ -43,24 +44,25 @@ def main() -> None:
     print(f"trained {len(result.embeddings)} text-value embeddings")
 
     with tempfile.TemporaryDirectory() as store_dir:
-        # 2. persist: the sharded tier always serves a store artifact —
-        # the store's delta records are how the applier process publishes
+        # 2. persist: the tier always serves a store artifact — the
+        # store's delta records are how the primary process publishes
         store = EmbeddingStore(store_dir)
         store.save_embedding_set("model", result.embeddings)
 
-        # 3. serve: two shard workers + one applier process; the tier
-        # owns the database and the retrofitter once started
+        # 3. serve: a (2 shards × 1 replica) grid + one primary process;
+        # the tier owns the database and the retrofitter once started
         retrofitter = pipeline.incremental_retrofitter(result)
-        with ShardedServingTier(
+        with ReplicatedServingTier(
             store_dir,
             "model",
             n_shards=2,
+            n_replicas=1,
             database=dataset.database,
             retrofitter=retrofitter,
             solve_iterations=200,
             write_rate_limit=RateLimiter(rate_per_second=20.0, burst=5),
         ) as tier:
-            print(f"serving on {tier.live_shards} shard processes")
+            print(f"serving on {tier.live_followers} shard processes")
 
             # reads: exact global top-k, merged across the shards —
             # identical (same rows, tie-stable) to a single-index session
@@ -70,7 +72,7 @@ def main() -> None:
                 print(f"  {score:+.3f}  {category}  {text!r}")
 
             # writes: submit a database delta; the ticket resolves once
-            # the applier published the new version to the store
+            # the primary published the new version to the store
             delta = DatabaseDelta()
             delta.insert("movies", {
                 "id": 90_001, "title": "the meridian line",

@@ -27,9 +27,10 @@ experiments:
   single-threaded query loop (p50/p99 latency, throughput, update lag),
 * ``repro chaos`` — the fault-injection certifier: seeded randomized
   fault schedules (crash, delay, torn write, dropped message, failed
-  spawn) against the sharded and replicated tiers under a live
-  query+delta workload, certifying store integrity, liveness,
-  read-your-writes and serial-replay agreement after every schedule.
+  spawn) against the serving tier's ``(2, 1)`` and ``(1, 2)`` layouts
+  under a live query+delta workload, certifying store integrity,
+  liveness, read-your-writes and serial-replay agreement after every
+  schedule.
 """
 
 from __future__ import annotations
@@ -234,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="also run the workload through a sharded multi-process tier "
-        "with this many shard workers over a shared memory-mapped matrix "
-        "(default: 0 — skip the sharded phases)",
+        help="also run the workload through the serving tier laid out as "
+        "this many shard workers (one replica each) over a shared "
+        "memory-mapped matrix (default: 0 — skip the sharded phases)",
     )
     serve_parser.add_argument(
         "--replicas",
         type=int,
         default=0,
-        help="also run the workload through the replicated log-shipping "
-        "tier with this many followers, then measure replication lag, "
+        help="also run the workload through the serving tier laid out as "
+        "one shard with this many replicas, then measure replication lag, "
         "read-your-writes, and failover after a primary SIGKILL "
         "(default: 0 — skip the replicated phases)",
     )
@@ -279,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_parser = commands.add_parser(
         "chaos",
-        help="run seeded randomized fault schedules against the sharded and "
-        "replicated serving tiers and certify crash-consistency, liveness, "
+        help="run seeded randomized fault schedules against the serving "
+        "tier's (2, 1) and (1, 2) layouts and certify crash-consistency, liveness, "
         "read-your-writes and serial-replay agreement after each one",
     )
     chaos_parser.add_argument(

@@ -1,7 +1,7 @@
 """Deterministic chaos benchmark (``repro chaos``).
 
 Runs ``schedules`` seeded fault schedules against the multi-process
-serving tiers under a live query+delta workload and certifies, after
+serving tier under a live query+delta workload and certifies, after
 every schedule, the invariants the serving stack promises to keep under
 partial failure:
 
@@ -21,12 +21,15 @@ partial failure:
   state (``submit`` refuses with a diagnosis; never silent corruption).
 
 Schedule ``i`` exercises fault class ``FAULT_CLASSES[i % 5]`` against
-tier ``("sharded", "replicated")[i % 2]``, so five schedules cover every
-fault class and ten cover the full class × tier matrix; the per-schedule
-RNG (``seed + i``) only varies the knobs (tear fraction, delay, trigger
-offsets).  Fault plans are installed *before* the tier forks its worker
-processes, so workers inherit them (see :mod:`repro.util.faults`); the
-plan is cleared in the front once the fault has demonstrably fired.
+the tier laid out as ``LAYOUTS[i % 2]`` — ``(n_shards, n_replicas)`` of
+``(2, 1)`` (sharded) or ``(1, 2)`` (replicated) — so five schedules cover
+every fault class and ten cover the full class × layout matrix; the
+per-schedule RNG (``seed + i``) only varies the knobs (tear fraction,
+delay, trigger offsets).  Fault plans are installed *before* the tier
+forks its worker processes, so workers inherit them (see
+:mod:`repro.util.faults`); the plan is cleared in the front once the
+fault has demonstrably fired.  Every schedule arms primary failover with
+a ``retrofitter_factory``.
 
 Writes are submitted with idempotent submission ids and retried through
 a :class:`~repro.util.RetryPolicy` — a retried write must apply exactly
@@ -57,6 +60,7 @@ from repro.retrofit.incremental import (
     IncrementalRetrofitter,
     max_cosine_distance,
 )
+from repro.serving.replicated import ReplicatedServingTier
 from repro.serving.store import EmbeddingStore
 from repro.util import RetryPolicy
 from repro.util import faults as faultlib
@@ -66,6 +70,9 @@ from repro.util.faults import FaultPlan, FaultPoint
 #: draws class ``i % len(FAULT_CLASSES)``, so five schedules exercise
 #: all of them at least once.
 FAULT_CLASSES = ("crash", "delay", "torn_write", "drop_message", "fail_spawn")
+
+#: ``(n_shards, n_replicas)`` layouts; schedule ``i`` runs on ``LAYOUTS[i % 2]``.
+LAYOUTS = ((2, 1), (1, 2))
 
 #: Agreement gate between the surviving store state and the serial replay.
 COSINE_TOLERANCE = 1e-3
@@ -82,10 +89,10 @@ class _Schedule:
 
     index: int
     fault_class: str
-    tier_kind: str  # "sharded" | "replicated"
+    n_shards: int
+    n_replicas: int
     site: str  # primary fault point name, for the matrix
     plan: FaultPlan
-    n_replicas: int = 2
     # crash/torn trigger geometry: how many writes phase A must land so
     # the armed fault point's traversal counter reaches its skip window
     writes_armed: int = 2
@@ -96,111 +103,96 @@ class _Schedule:
     idle_until_respawn: bool = False
     delay_seconds: float = 0.0
 
+    @property
+    def layout(self) -> str:
+        return f"{self.n_shards}x{self.n_replicas}"
+
+    @property
+    def sharded(self) -> bool:
+        return self.n_shards > 1
+
 
 def _build_schedule(index: int, seed: int) -> _Schedule:
     """The deterministic plan for schedule ``index`` (rng jitters knobs)."""
     rng = np.random.default_rng(seed + index)
     fault_class = FAULT_CLASSES[index % len(FAULT_CLASSES)]
-    tier_kind = ("sharded", "replicated")[index % 2]
+    n_shards, n_replicas = LAYOUTS[index % 2]
+    sharded = n_shards > 1
+
+    def schedule(site, points, **knobs) -> _Schedule:
+        return _Schedule(
+            index, fault_class, n_shards, n_replicas, site,
+            FaultPlan(points=points), **knobs,
+        )
+
     if fault_class == "crash":
-        if tier_kind == "sharded":
+        if sharded:
             # every worker inherits the plan, so all shards crash on the
             # same scatter-gather message; skip is large enough that the
             # respawned workers (which inherit a fresh counter) survive
             # the recovery-phase probes
-            return _Schedule(
-                index, fault_class, tier_kind, "shard.worker",
-                FaultPlan(points=(FaultPoint("shard.worker", "crash", skip=8),)),
+            return schedule(
+                "shard.worker", (FaultPoint("shard.worker", "crash", skip=8),)
             )
         # the primary dies mid-publish; the front's landed-check retries
-        # the in-flight batch on the promoted follower
+        # the in-flight batch on the respawned primary
         skip = 2 + int(rng.integers(0, 2))  # crash on write skip+1
-        return _Schedule(
-            index, fault_class, tier_kind, "runtime.publish",
-            FaultPlan(points=(FaultPoint("runtime.publish", "crash", skip=skip),)),
+        return schedule(
+            "runtime.publish",
+            (FaultPoint("runtime.publish", "crash", skip=skip),),
             writes_armed=skip + 1,
             writes_recovery=max(1, skip - 1),
         )
     if fault_class == "delay":
         delay = 0.75 + float(rng.uniform(0.0, 0.25))
-        return _Schedule(
-            index, fault_class, tier_kind, "store.delta_append",
-            FaultPlan(points=(
-                FaultPoint(
-                    "store.delta_append", "delay", delay_seconds=delay
-                ),
-            )),
+        return schedule(
+            "store.delta_append",
+            (FaultPoint("store.delta_append", "delay", delay_seconds=delay),),
             delay_seconds=delay,
         )
     if fault_class == "torn_write":
+        # the primary's third append tears; the front replaces the
+        # (possibly diverged) primary with one respawned from the store
+        # and the client retry lands the write there — skip=2 keeps the
+        # respawned primary (a fresh traversal counter) inside its own
+        # skip window for the remaining writes
         tear = float(rng.uniform(0.2, 0.8))
-        if tier_kind == "sharded":
-            # the applier's second append tears mid-matrix-write; the
-            # tier latches an explicit write-degraded state and the store
-            # keeps serving the previous committed version
-            return _Schedule(
-                index, fault_class, tier_kind, "store.artifact_write",
-                FaultPlan(points=(
-                    FaultPoint(
-                        "store.artifact_write", "torn_write",
-                        skip=1, tear_fraction=tear,
-                    ),
-                )),
-            )
-        # the primary's third append tears; the front terminates the
-        # (possibly diverged) primary and the client retry lands the
-        # write on the promoted follower — skip=2 keeps the promoted
-        # primary inside its own skip window for the remaining writes
-        return _Schedule(
-            index, fault_class, tier_kind, "store.artifact_write",
-            FaultPlan(points=(
+        return schedule(
+            "store.artifact_write",
+            (
                 FaultPoint(
                     "store.artifact_write", "torn_write",
                     skip=2, tear_fraction=tear,
                 ),
-            )),
+            ),
             writes_armed=3,
             writes_recovery=1,
         )
+    # heartbeat probes sweep [worker (0, 0), worker (0, 1), primary]; ten
+    # consecutive drops give worker (0, 0) four misses in a row (death)
+    # while the others stay under the threshold and recover
+    heartbeat_drops = FaultPoint("repl.heartbeat", "drop_message", hits=10)
     if fault_class == "drop_message":
-        if tier_kind == "sharded":
+        if sharded:
             skip = 1 + int(rng.integers(0, 3))
-            return _Schedule(
-                index, fault_class, tier_kind, "shard.pipe_send",
-                FaultPlan(points=(
-                    FaultPoint("shard.pipe_send", "drop_message", skip=skip),
-                )),
+            return schedule(
+                "shard.pipe_send",
+                (FaultPoint("shard.pipe_send", "drop_message", skip=skip),),
             )
-        # heartbeat probes sweep [follower0, follower1, primary]; ten
-        # consecutive drops give follower0 four misses in a row (death)
-        # while the others stay under the threshold and recover
-        return _Schedule(
-            index, fault_class, tier_kind, "repl.heartbeat",
-            FaultPlan(points=(
-                FaultPoint("repl.heartbeat", "drop_message", hits=10),
-            )),
-            idle_until_respawn=True,
+        return schedule(
+            "repl.heartbeat", (heartbeat_drops,), idle_until_respawn=True
         )
     if fault_class == "fail_spawn":
-        if tier_kind == "sharded":
-            return _Schedule(
-                index, fault_class, tier_kind, "shard.respawn",
-                FaultPlan(points=(
-                    FaultPoint("shard.worker", "crash", skip=8),
-                    FaultPoint("shard.respawn", "fail_spawn"),
-                )),
-            )
-        # one follower: probes sweep [follower, primary], so seven drops
-        # kill the follower (misses 1,3,5,7) and leave the primary at
-        # three misses; its first respawn attempt then fails by injection
+        # the killed worker's first respawn attempt fails by injection
         # and the retry policy's second attempt brings it back
-        return _Schedule(
-            index, fault_class, tier_kind, "repl.respawn",
-            FaultPlan(points=(
-                FaultPoint("repl.heartbeat", "drop_message", hits=7),
-                FaultPoint("repl.respawn", "fail_spawn"),
-            )),
-            n_replicas=1,
+        failed_spawn = FaultPoint("repl.respawn", "fail_spawn")
+        if sharded:
+            return schedule(
+                "repl.respawn",
+                (FaultPoint("shard.worker", "crash", skip=8), failed_spawn),
+            )
+        return schedule(
+            "repl.respawn", (heartbeat_drops, failed_spawn),
             idle_until_respawn=True,
         )
     raise ExperimentError(f"unknown fault class {fault_class!r}")
@@ -279,9 +271,10 @@ def _run_schedule(
     stream_rng = np.random.default_rng(seed + 13 * schedule.index + 101)
     total_writes = schedule.writes_armed + schedule.writes_recovery
     # faults triggered by scatter-gather traffic rather than by writes
-    query_triggered = schedule.tier_kind == "sharded" and (
+    query_triggered = schedule.sharded and (
         schedule.fault_class in ("crash", "drop_message", "fail_spawn")
     )
+    grid_size = schedule.n_shards * schedule.n_replicas
 
     workdir = tempfile.TemporaryDirectory(prefix=f"chaos-{schedule.index}-")
     store = EmbeddingStore(workdir.name)
@@ -295,24 +288,10 @@ def _run_schedule(
             method=solver_method,
             base_matrix=base_matrix,
         )
-        if schedule.tier_kind == "sharded":
-            from repro.serving.sharded import ShardedServingTier
 
-            return ShardedServingTier(
-                workdir.name,
-                _ARTIFACT,
-                n_shards=2,
-                database=make_tmdb(sizes).database,
-                retrofitter=retrofitter,
-                solve_iterations=SOLVE_ITERATIONS,
-                coalesce=False,
-                query_timeout=2.0,
-            )
-        from repro.serving.replicated import ReplicatedServingTier
-
-        def follower_retrofitter(follower_embeddings):
+        def primary_retrofitter(latest_embeddings):
             return IncrementalRetrofitter(
-                follower_embeddings,
+                latest_embeddings,
                 tokenizer,
                 hyperparams=hyperparams,
                 method=solver_method,
@@ -322,9 +301,10 @@ def _run_schedule(
             workdir.name,
             _ARTIFACT,
             n_replicas=schedule.n_replicas,
+            n_shards=schedule.n_shards,
             database=make_tmdb(sizes).database,
             retrofitter=retrofitter,
-            retrofitter_factory=follower_retrofitter,
+            retrofitter_factory=primary_retrofitter,
             solve_iterations=SOLVE_ITERATIONS,
             coalesce=False,
             query_timeout=2.0,
@@ -389,27 +369,18 @@ def _run_schedule(
         _probe_read_your_writes(tier, int(version))
 
     def _probe_read_your_writes(tier, version: int) -> None:
-        """A read straight after the ack must answer at-or-past it."""
+        """A read straight after the ack must answer at-or-past it — with
+        no explicit floor: the tier floors it at its published version."""
         vector = queries[query_cursor % len(queries)]
         deadline = time.perf_counter() + 30.0
         while True:
             try:
-                if schedule.tier_kind == "replicated":
-                    answered, _ = tier.topk_batch_versioned(
-                        vector[None, :], k, min_version=version
+                answered, _ = tier.topk_batch_versioned(vector[None, :], k)
+                if answered < version:
+                    violations.append(
+                        f"read-your-writes: answered at {answered} "
+                        f"after acking {version}"
                     )
-                    if answered < version:
-                        violations.append(
-                            f"read-your-writes: answered at {answered} "
-                            f"after acking {version}"
-                        )
-                else:
-                    tier.topk(vector, k)
-                    if tier.published_version < version:
-                        violations.append(
-                            f"read-your-writes: published {tier.published_version} "
-                            f"after acking {version}"
-                        )
                 return
             except ServingError:
                 if time.perf_counter() > deadline:
@@ -445,33 +416,35 @@ def _run_schedule(
                 # failed query or a dead worker), then let the tier heal
                 for _ in range(40):
                     answered = probe_query(tier)
-                    if not answered or tier.live_shards < tier.n_shards:
+                    if not answered or tier.live_followers < grid_size:
                         break
                 else:
                     violations.append(
                         f"{schedule.site} never fired across 40 queries"
                     )
+                # the spawn failure fires in a respawn thread, which can
+                # start after the failed query returned: keep the plan
+                # armed until it has fired
+                if schedule.fault_class == "fail_spawn" and not _wait_for_event(
+                    tier, ("follower_respawn_retry",), 30.0
+                ):
+                    violations.append(
+                        "injected spawn failure left no "
+                        "follower_respawn_retry event"
+                    )
                 faultlib.clear_fault_plan()
                 if schedule.fault_class in ("crash", "fail_spawn"):
                     deadline = time.perf_counter() + 30.0
                     while (
-                        tier.live_shards < tier.n_shards
+                        tier.live_followers < grid_size
                         and time.perf_counter() < deadline
                     ):
                         time.sleep(0.05)
-                    if tier.live_shards < tier.n_shards:
+                    if tier.live_followers < grid_size:
                         violations.append(
                             "crashed shard workers never respawned"
                         )
-                if schedule.fault_class == "fail_spawn":
-                    if not _wait_for_event(
-                        tier, ("shard_respawn_retry",), 30.0
-                    ):
-                        violations.append(
-                            "injected spawn failure left no "
-                            "shard_respawn_retry event"
-                        )
-                # absorb the second worker's still-armed dropped reply
+                # one probe past the fault: every shard answers again
                 probe_query(tier)
             else:
                 # write-triggered faults: land the armed-phase writes
@@ -514,8 +487,7 @@ def _run_schedule(
     # ---- certification ------------------------------------------------ #
     counts = _event_counts(events)
     exercised = _check_exercised(
-        schedule, counts, stats, ack_walls, query_errors, write_retries,
-        degraded_report,
+        schedule, counts, stats, ack_walls, query_errors, write_retries
     )
     if exercised is not True:
         violations.append(exercised)
@@ -562,7 +534,7 @@ def _run_schedule(
         "schedule": schedule.index,
         "fault_class": schedule.fault_class,
         "site": schedule.site,
-        "tier": schedule.tier_kind,
+        "layout": schedule.layout,
         "outcome": outcome,
         "degraded_report": degraded_report,
         "acked_writes": len(acked),
@@ -586,13 +558,12 @@ def _check_exercised(
     ack_walls: list[float],
     query_errors: int,
     write_retries: int,
-    degraded_report: str | None,
 ):
     """``True`` when the schedule's fault demonstrably fired, else a reason."""
-    cls, tier = schedule.fault_class, schedule.tier_kind
+    cls, sharded = schedule.fault_class, schedule.sharded
     if cls == "crash":
-        if tier == "sharded":
-            if counts.get("shard_respawned", 0) >= 1 or query_errors >= 1:
+        if sharded:
+            if counts.get("follower_respawned", 0) >= 1 or query_errors >= 1:
                 return True
             return "crash fault left no respawn event and no failed query"
         if stats is not None and stats.failovers >= 1:
@@ -606,15 +577,11 @@ def _check_exercised(
             f"ack slower than it"
         )
     if cls == "torn_write":
-        if tier == "sharded":
-            if degraded_report is not None:
-                return True
-            return "torn applier write did not latch the degraded state"
         if (stats is not None and stats.failovers >= 1) or write_retries >= 1:
             return True
         return "torn primary write triggered neither failover nor retry"
     if cls == "drop_message":
-        if tier == "sharded":
+        if sharded:
             if query_errors >= 1:
                 return True
             return "dropped shard reply failed no query"
@@ -622,13 +589,9 @@ def _check_exercised(
             return True
         return "dropped heartbeats never declared a replica dead"
     if cls == "fail_spawn":
-        key = (
-            "shard_respawn_retry" if tier == "sharded"
-            else "follower_respawn_retry"
-        )
-        if counts.get(key, 0) >= 1:
+        if counts.get("follower_respawn_retry", 0) >= 1:
             return True
-        return f"injected spawn failure left no {key} event"
+        return "injected spawn failure left no follower_respawn_retry event"
     return f"unknown fault class {cls!r}"
 
 
@@ -702,7 +665,7 @@ def run_chaos_benchmark(
 
     all_violations = [
         f"schedule {record['schedule']} ({record['fault_class']}/"
-        f"{record['tier']}): {violation}"
+        f"{record['layout']}): {violation}"
         for record in records
         for violation in record["violations"]
     ]
@@ -714,7 +677,7 @@ def run_chaos_benchmark(
             f"{schedules} schedules, seed {base_seed})"
         ),
         columns=[
-            "schedule", "fault", "site", "tier", "outcome",
+            "schedule", "fault", "site", "layout", "outcome",
             "writes", "outage_s", "violations",
         ],
     )
@@ -726,7 +689,7 @@ def run_chaos_benchmark(
             schedule=record["schedule"],
             fault=record["fault_class"],
             site=record["site"],
-            tier=record["tier"],
+            layout=record["layout"],
             outcome=record["outcome"],
             writes=f"{record['acked_writes']}/{record['attempted_writes']}",
             outage_s=outage,

@@ -20,23 +20,23 @@ model.  Three phases run over the same settled starting point:
   phase's throughput bounds the worst case, not the steady state).
 
 With ``shards >= 1`` two more phases run the same workloads through a
-:class:`~repro.serving.ShardedServingTier` — hash-partitioned worker
-processes over a shared memory-mapped matrix, with the retrofit applier
-in its own process — measuring what moving the solver and the index scans
-off the readers' interpreter buys (on a multi-core box; on one core the
-processes still time-share).
+:class:`~repro.serving.ReplicatedServingTier` laid out as ``(shards, 1)``
+— hash-partitioned worker processes over a shared memory-mapped matrix,
+with the retrofit primary in its own process — measuring what moving the
+solver and the index scans off the readers' interpreter buys (on a
+multi-core box; on one core the processes still time-share).
 
-With ``replicas >= 1`` the same workloads also run through a
-:class:`~repro.serving.ReplicatedServingTier` — a primary runtime
-publishing every applied delta to the store's replication log, full-corpus
-followers tailing it — followed by three replication-specific
-measurements: per-delta replication lag (publish → visible on every
-follower), read-your-writes latency and correctness (a floored read
-straight after each write ack must answer at-or-past the ticket's
-version), and failover (SIGKILL the primary mid-stream, time until a
-promoted follower lands the next write).  The correctness half compares a
-follower's fully-replayed matrix against both the store's own log replay
-(exact) and a serial incremental retrofitter over the identical stream.
+With ``replicas >= 1`` the same workloads also run through the tier laid
+out as ``(1, replicas)`` — a lean primary appending every applied delta
+to the store's replication log, full-corpus followers tailing it —
+followed by three replication-specific measurements: per-delta
+replication lag (publish → visible on every follower), read-your-writes
+latency and correctness (a floored read straight after each write ack
+must answer at-or-past the ticket's version), and failover (SIGKILL the
+primary mid-stream, time until a primary respawned from the store lands
+the next write).  The correctness half compares the followers'
+fully-replayed matrix against both the store's own log replay (exact)
+and a serial incremental retrofitter over the identical stream.
 
 With ``fronts >= 1`` (requires ``replicas >= 1``) the replicated tier is
 additionally served over the network: a
@@ -303,25 +303,26 @@ def run_serve_benchmark(
     steady_qps = total_queries / steady_wall if steady_wall > 0 else 0.0
     churn_qps = total_queries / churn_wall if churn_wall > 0 else 0.0
 
-    # ---- phases 4+5: sharded multi-process tier ------------------------ #
+    # ---- phases 4+5: the tier as (shards, 1) -------------------------- #
     sharded_metrics: dict[str, Any] | None = None
     sharded_final = None
     if shards >= 1:
         import tempfile
 
-        from repro.serving.sharded import ShardedServingTier
+        from repro.serving.replicated import ReplicatedServingTier
         from repro.serving.store import EmbeddingStore
 
         shard_dir = tempfile.TemporaryDirectory(prefix="serve-bench-shards-")
         store = EmbeddingStore(shard_dir.name)
         store.save_embedding_set("serve", embeddings)
-        # the tier's applier process gets its own pre-stream database copy
+        # the tier's primary process gets its own pre-stream database copy
         # and retrofitter (the runtime above already consumed the shared
         # ones); it replays the identical delta stream
-        tier = ShardedServingTier(
+        tier = ReplicatedServingTier(
             shard_dir.name,
             "serve",
             n_shards=shards,
+            n_replicas=1,
             database=make_tmdb(sizes).database,
             retrofitter=IncrementalRetrofitter(
                 embeddings,
@@ -375,10 +376,10 @@ def run_serve_benchmark(
                 "p99_seconds": shard_churn_p99,
                 "queries_answered": len(shard_churn_latencies),
             },
-            "published_version": tier_stats.published_version,
+            "published_version": tier_stats.log_version,
             "writes_applied": tier_stats.writes_applied,
             "degraded_queries": tier_stats.degraded_queries,
-            "shard_respawns": tier_stats.shard_respawns,
+            "shard_respawns": tier_stats.follower_respawns,
             "churn_vs_steady": (
                 shard_churn_qps / shard_steady_qps if shard_steady_qps else 0.0
             ),
@@ -391,7 +392,7 @@ def run_serve_benchmark(
             ),
         }
 
-    # ---- phases 6+7: replicated log-shipping tier ---------------------- #
+    # ---- phases 6+7: the tier as (1, replicas) ------------------------ #
     replicated_metrics: dict[str, Any] | None = None
     http_metrics: dict[str, Any] | None = None
     repl_deltas: list = []
@@ -409,12 +410,12 @@ def run_serve_benchmark(
         repl_store = EmbeddingStore(repl_dir.name)
         repl_store.save_embedding_set("serve", embeddings)
 
-        def follower_retrofitter(follower_embeddings):
-            # the promotion path: a follower elected primary rebuilds its
-            # solver from its replayed state (no warm base matrix —
-            # correctness over promotion speed)
+        def primary_retrofitter(latest_embeddings):
+            # the failover path: a respawned primary rebuilds its solver
+            # from the store's latest version (no warm base matrix —
+            # correctness over failover speed)
             return IncrementalRetrofitter(
-                follower_embeddings,
+                latest_embeddings,
                 tokenizer,
                 hyperparams=hyperparams,
                 method=solver_method,
@@ -432,7 +433,7 @@ def run_serve_benchmark(
                 method=solver_method,
                 base_matrix=base_matrix,
             ),
-            retrofitter_factory=follower_retrofitter,
+            retrofitter_factory=primary_retrofitter,
             solve_iterations=SOLVE_ITERATIONS,
         )
         with tier:
@@ -488,8 +489,8 @@ def run_serve_benchmark(
                     ryw_violations += 1
 
             # failover: SIGKILL the primary, then submit straight away —
-            # the writer must detect the death, promote the most caught-up
-            # follower, and land the write there.  The outage window is
+            # the writer must detect the death, respawn the primary from
+            # the store, and land the write there.  The outage window is
             # kill → post-failover ack (what a writer actually waits).
             killed_at = time.perf_counter()
             os.kill(tier.primary_pid, signal.SIGKILL)
@@ -858,7 +859,7 @@ def run_serve_benchmark(
         )
         failover_s = replicated_metrics["failover_seconds"]
         table.add_note(
-            f"primary SIGKILL: failover (detect→promote) "
+            f"primary SIGKILL: failover (detect→respawn) "
             f"{failover_s:.3f} s, write outage (kill→next ack) "
             f"{replicated_metrics['failover_write_outage_seconds']:.3f} s, "
             f"{replicated_metrics['failovers']} failover(s); follower "

@@ -30,15 +30,18 @@ query cache.  :class:`ServingRuntime` adds the concurrent layer: a
 write-ahead :class:`DeltaQueue` drained by a background applier into
 double-buffered sessions (atomic snapshot swap, epoch-based reclamation)
 while a :class:`BatchedQueryFront` coalesces concurrent top-k requests
-into batched index queries.  :class:`ShardedServingTier` scales that
-across processes: hash-partitioned shard workers over a shared read-only
-memory map, an out-of-process retrofit applier publishing through the
-store's versioned delta records, and :class:`RateLimiter` admission so
-write bursts degrade writes, never reads.  :class:`ReplicatedServingTier`
-promotes those delta records to a replication log — one primary runtime
-publishing, N full-corpus followers tailing, heartbeat failure detection
-and failover — and :class:`HTTPServingFront` puts an asyncio HTTP/JSON
-endpoint with per-client rate limits and read-your-writes routing on top.
+into batched index queries.  :class:`ReplicatedServingTier` scales that
+across processes as one log-shipped grid: the store's versioned delta
+records are the replication log, one lean primary process applies writes
+and appends to it, and ``n_shards × n_replicas`` worker processes tail
+it — each holding the :func:`stable_shard` slice of its shard, copied
+from one shared read-only memory map.  Reads ask one live replica per
+shard and merge exactly (bitwise the single-index answer); heartbeats
+respawn dead workers and a dead primary from the store, and
+:class:`RateLimiter` admission makes write bursts degrade writes, never
+reads.  ``(N, 1)`` is a sharded tier, ``(1, R)`` a replicated one.
+:class:`HTTPServingFront` puts an asyncio HTTP/JSON endpoint with
+per-client rate limits and read-your-writes routing on top.
 The front speaks the versioned ``/v1`` API — reads *and* idempotent
 delta writes (``POST /v1/submit``), bearer-token scopes, optional TLS —
 :class:`MultiFrontDeployment` runs N front processes over one replica
@@ -62,6 +65,7 @@ from repro.serving.replicated import (
     ReplicatedServingTier,
     ReplicatedTierStats,
     ship_snapshot,
+    stable_shard,
 )
 from repro.serving.runtime import (
     BatchedQueryFront,
@@ -75,7 +79,6 @@ from repro.serving.runtime import (
     UpdateTicket,
 )
 from repro.serving.session import ServingSession, UpdateStats, default_index_factory
-from repro.serving.sharded import ShardedServingTier, TierStats, stable_shard
 from repro.serving.store import (
     DeltaRecord,
     EmbeddingStore,
@@ -113,8 +116,6 @@ __all__ = [
     "RuntimeStats",
     "ServingRuntime",
     "UpdateTicket",
-    "ShardedServingTier",
-    "TierStats",
     "stable_shard",
     "ReplicatedServingTier",
     "ReplicatedTierStats",

@@ -167,8 +167,7 @@ class HTTPServingFront:
     :class:`~repro.serving.replicated.ReplicatedServingTier` (whose
     ``topk_batch_versioned`` supplies the answered version and honours
     ``min_version`` routing, and whose ``submit`` backs /v1/submit); a
-    :class:`~repro.serving.runtime.ServingRuntime`,
-    :class:`~repro.serving.sharded.ShardedServingTier` or bare
+    :class:`~repro.serving.runtime.ServingRuntime` or bare
     :class:`~repro.serving.session.ServingSession` also works —
     ``min_version`` is then ignored and the reported version is the
     target's ``published_version``.  A target without ``submit`` answers
@@ -405,19 +404,21 @@ class HTTPServingFront:
                     status, payload, extra = await self._dispatch(
                         method, path, headers, body, writer
                     )
+                    # logged before the first response byte is written: a
+                    # client that has read its answer finds the event
+                    self._events.emit(
+                        "access",
+                        client=headers.get("x-client-id", peer_label),
+                        method=method,
+                        path=path,
+                        status=status,
+                        ms=round((time.perf_counter() - started) * 1000.0, 3),
+                    )
                     await self._respond(
                         writer, status, payload, keep_alive, extra
                     )
                 finally:
                     self._busy.discard(task)
-                self._events.emit(
-                    "access",
-                    client=headers.get("x-client-id", peer_label),
-                    method=method,
-                    path=path,
-                    status=status,
-                    ms=round((time.perf_counter() - started) * 1000.0, 3),
-                )
                 if not keep_alive:
                     return
         except (

@@ -548,24 +548,12 @@ class ServingRuntime:
         solve_iterations: int | None = None,
         grace_timeout: float = 30.0,
         write_rate_limit: "RateLimiter | None" = None,
-        on_publish=None,
-        log_version: int | None = None,
     ) -> None:
         self._database = database
         self._retrofitter = retrofitter
         self._solve_iterations = solve_iterations
         self._grace_timeout = float(grace_timeout)
         self._rate_limit = write_rate_limit
-        #: Publication hook: called with each applied
-        #: :class:`~repro.retrofit.incremental.IncrementalUpdateResult`
-        #: *before* the snapshot swap makes it visible — the replication
-        #: primary appends the update to the store's delta log here, so a
-        #: resolved ticket's version is always durable in the log.  The
-        #: returned log version (when not ``None``) becomes the version
-        #: tickets resolve at; ``log_version`` seeds it (a runtime serving
-        #: a store artifact starts at that artifact's latest version).
-        self._on_publish = on_publish
-        self._log_version = log_version
         self._queue = DeltaQueue(
             capacity=queue_capacity,
             coalesce=coalesce,
@@ -696,17 +684,11 @@ class ServingRuntime:
                 continue
             self._apply_batch(batch)
 
-    def _ticket_version(self) -> int:
-        """The version tickets resolve at: the log's when one is kept."""
-        if self._log_version is not None:
-            return self._log_version
-        return self._published.version
-
     def _apply_batch(self, batch: _WriteBatch) -> None:
         now = time.perf_counter()
         if batch.delta.is_empty():
             for ticket in batch.tickets:
-                ticket._complete(self._ticket_version(), now)
+                ticket._complete(self._published.version, now)
             self._mark_done(batch)
             return
         if self._degraded is not None:
@@ -727,13 +709,6 @@ class ServingRuntime:
             self._standby.apply_update(update)
             self._standby.settle_indexes()
             faults.fire("runtime.publish", "before")
-            if self._on_publish is not None:
-                # make the update durable (e.g. append it to the store's
-                # delta log) before any ticket can resolve: a version a
-                # writer observed must be reachable by every replica
-                published_log = self._on_publish(update)
-                if published_log is not None:
-                    self._log_version = int(published_log)
         except Exception as error:
             # past validation the database (and possibly the retrofitter)
             # may already be mutated: the served vectors can no longer be
@@ -752,7 +727,7 @@ class ServingRuntime:
         epoch = self._epochs.advance()
         now = time.perf_counter()
         for ticket in batch.tickets:
-            ticket._complete(self._ticket_version(), now)
+            ticket._complete(self._published.version, now)
             lag = ticket.lag_seconds
             if lag is not None:
                 self._update_lags.append(lag)
@@ -826,11 +801,6 @@ class ServingRuntime:
     def published_version(self) -> int:
         """Version of the snapshot queries currently see."""
         return self._published.version
-
-    @property
-    def log_version(self) -> int | None:
-        """Latest store-log version published (``None`` without a log)."""
-        return self._log_version
 
     @property
     def dimension(self) -> int:

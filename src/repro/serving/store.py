@@ -210,6 +210,8 @@ class EmbeddingStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: name -> (header file identity, base ``set_version``)
+        self._base_versions: dict[str, tuple[tuple[int, int, int], int]] = {}
 
     # ------------------------------------------------------------------ #
     # low-level artifact IO
@@ -810,11 +812,8 @@ class EmbeddingStore:
 
     def latest_version(self, name: str) -> int:
         """The version a load of ``name`` would produce (base + deltas)."""
-        header = self._read_header(name)
-        self._validate_header(name, header, KIND_EMBEDDING_SET)
-        version = int(header.get("set_version", 0))
         deltas = self.list_embedding_set_deltas(name)
-        return max([version] + [v for v, _ in deltas])
+        return max([self.base_version(name)] + [v for v, _ in deltas])
 
     def read_embedding_set_delta(self, name: str, version: int) -> "DeltaRecord":
         """Load one delta record of ``name`` as a :class:`DeltaRecord`.
@@ -900,10 +899,27 @@ class EmbeddingStore:
         A follower whose tail position fell behind a compaction compares
         its replayed version against this to decide whether re-bootstrapping
         from the (newer) base snapshot can recover the lost records.
+
+        Tailing workers poll this, and the header holds the whole
+        extraction, so the version is re-parsed only when the header
+        file's identity (inode, size, mtime) changed — a header is only
+        ever replaced by an atomic rename, never edited in place.
         """
+        try:
+            stat = self._header_path(name).stat()
+        except FileNotFoundError:
+            raise StoreFormatError(
+                f"no artifact {name!r} in store {self.root}"
+            ) from None
+        identity = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        cached = self._base_versions.get(name)
+        if cached is not None and cached[0] == identity:
+            return cached[1]
         header = self._read_header(name)
         self._validate_header(name, header, KIND_EMBEDDING_SET)
-        return int(header.get("set_version", 0))
+        version = int(header.get("set_version", 0))
+        self._base_versions[name] = (identity, version)
+        return version
 
     def compact_embedding_set(self, name: str, keep_from: int | None = None) -> int:
         """Fold all delta records of ``name`` into its base artifact.

@@ -1,13 +1,13 @@
 """Replicated serving tier: log shipping, catch-up edges, failover.
 
-The correctness bar mirrors the sharded tests: a follower replaying the
+The correctness bar mirrors the sharded tests: a worker replaying the
 store's delta log must serve *exactly* what a single in-process session
 over the store's versioned load serves — same rows, same order, same
 float bits.  The catch-up edge cases (snapshot bootstrap, mid-log
-restart, compaction racing a lagging follower) run against
-``_FollowerState`` directly so they are deterministic and fork-free;
-process-level behaviour (election, SIGKILL failover) lives in the
-stress-marked classes.
+restart, compaction racing a lagging worker) run against a one-shard
+``_ShardState`` directly so they are deterministic and fork-free;
+process-level behaviour (SIGKILL failover) lives in the stress-marked
+classes.
 """
 
 import os
@@ -30,7 +30,7 @@ from repro.serving import (
     ServingSession,
     ship_snapshot,
 )
-from repro.serving.replicated import _FollowerState
+from repro.serving.replicated import _ShardState
 
 
 @pytest.fixture()
@@ -66,8 +66,8 @@ def stream(tmp_path):
     store.save_embedding_set("rn", result.embeddings)
 
     def factory(embeddings):
-        # the promotion path: an elected follower rebuilds its solver
-        # from its replayed embeddings (fork-inherited closure)
+        # the failover path: a respawned primary rebuilds its solver from
+        # the store's latest version (fork-inherited closure)
         return IncrementalRetrofitter(
             embeddings,
             pipeline.tokenizer,
@@ -94,6 +94,11 @@ def make_delta(dataset, key):
         victim = dataset.database.table("reviews").rows[0]
         delta.delete("reviews", victim["id"])
     return delta
+
+
+def follower(store):
+    """A full-corpus worker state: the grid's one-shard slice."""
+    return _ShardState(store, "rn", shard_id=0, n_shards=1, metric="cosine")
 
 
 def append_one(dataset, retrofitter, store, key):
@@ -191,22 +196,22 @@ class TestFollowerCatchUp:
         replays the full chain once — identical to one that tailed
         incrementally, and to the store's own versioned load."""
         dataset, retrofitter, store, _ = stream
-        tailing = _FollowerState(store, "rn", "cosine")
+        tailing = follower(store)
         for key in (1, 2, 3):
             append_one(dataset, retrofitter, store, key)
             tailing.sync_to_latest()
         assert tailing.version == 3
-        restarted = _FollowerState(store, "rn", "cosine")  # fresh bootstrap
+        restarted = follower(store)  # fresh bootstrap
         restarted.sync_to_latest()
         assert restarted.version == 3
         loaded, _, version = store.load_embedding_set_versioned("rn")
         assert version == 3
-        assert np.array_equal(restarted.matrix(), loaded.matrix)
-        assert np.array_equal(tailing.matrix(), loaded.matrix)
+        assert np.array_equal(restarted.vectors, loaded.matrix)
+        assert np.array_equal(tailing.vectors, loaded.matrix)
         # replaying again is a no-op, not a double apply
         restarted.sync_to_latest()
         assert restarted.version == 3
-        assert np.array_equal(restarted.matrix(), loaded.matrix)
+        assert np.array_equal(restarted.vectors, loaded.matrix)
 
     def test_compaction_under_lagging_follower_falls_back_to_snapshot(
         self, stream
@@ -214,7 +219,7 @@ class TestFollowerCatchUp:
         """A follower that lost records to a compaction re-bootstraps from
         the (newer) base snapshot and tails the remaining records."""
         dataset, retrofitter, store, _ = stream
-        lagging = _FollowerState(store, "rn", "cosine")
+        lagging = follower(store)
         assert lagging.version == 0
         for key in (1, 2, 3):
             append_one(dataset, retrofitter, store, key)
@@ -225,13 +230,13 @@ class TestFollowerCatchUp:
         assert lagging.version == 4
         loaded, _, version = store.load_embedding_set_versioned("rn")
         assert version == 4
-        assert np.array_equal(lagging.matrix(), loaded.matrix)
+        assert np.array_equal(lagging.vectors, loaded.matrix)
 
     def test_lost_record_without_newer_snapshot_raises(self, stream):
         """A gap the base snapshot cannot cover is an integrity error, not
         a silent skip — the follower must not serve a diverged matrix."""
         dataset, retrofitter, store, _ = stream
-        lagging = _FollowerState(store, "rn", "cosine")
+        lagging = follower(store)
         for key in (1, 2):
             append_one(dataset, retrofitter, store, key)
         store.delete_artifact("rn.delta000001")  # gap; base still v0
@@ -243,20 +248,20 @@ class TestFollowerCatchUp:
         ``v - 1`` still needs: it tails straight through the compaction
         without ever re-bootstrapping."""
         dataset, retrofitter, store, _ = stream
-        follower = _FollowerState(store, "rn", "cosine")
+        tailing = follower(store)
         for key in (1, 2):
             append_one(dataset, retrofitter, store, key)
-        follower.sync_to_latest()
-        assert follower.version == 2
+        tailing.sync_to_latest()
+        assert tailing.version == 2
         append_one(dataset, retrofitter, store, 3)
         # the follower announced position 2: the floor protects record 3
         store.compact_embedding_set("rn", keep_from=3)
         assert store.base_version("rn") == 3
         assert [v for v, _ in store.list_embedding_set_deltas("rn")] == [3]
-        follower.sync_to_latest()  # plain tail — no snapshot fallback
-        assert follower.version == 3
+        tailing.sync_to_latest()  # plain tail — no snapshot fallback
+        assert tailing.version == 3
         loaded, _, _ = store.load_embedding_set_versioned("rn")
-        assert np.array_equal(follower.matrix(), loaded.matrix)
+        assert np.array_equal(tailing.vectors, loaded.matrix)
 
 
 class TestStoreDeltaGC:
@@ -328,6 +333,38 @@ class TestWriterPath:
         assert tier.stats.writes_applied == 2
         assert tier.stats.write_failures == 0
 
+    @pytest.mark.parametrize(
+        "n_shards, n_replicas",
+        [pytest.param(2, 1, id="2x1"), pytest.param(1, 2, id="1x2")],
+    )
+    def test_read_your_writes_with_and_without_a_floor(
+        self, stream, n_shards, n_replicas
+    ):
+        """After ``ticket.wait()`` a read sees the write whether or not it
+        passes the ticket's version: an unfloored read is floored at the
+        tier's published version."""
+        dataset, retrofitter, store, factory = stream
+        rng = np.random.default_rng(5)
+        queries = rng.integers(-3, 4, size=(4, 16)).astype(np.float64)
+        tier = ReplicatedServingTier(
+            store.root, "rn", n_replicas=n_replicas, n_shards=n_shards,
+            database=dataset.database, retrofitter=retrofitter,
+            retrofitter_factory=factory, solve_iterations=60,
+        )
+        with tier:
+            for key in (1, 2):
+                version = tier.submit(make_delta(dataset, key)).wait(timeout=120)
+                loaded, _, _ = store.load_embedding_set_versioned("rn")
+                serial = ServingSession(loaded)
+                serial.settle_indexes()
+                want = serial.topk_batch(queries, 5)
+                for floor in (None, version):
+                    got_version, got = tier.topk_batch_versioned(
+                        queries, 5, min_version=floor
+                    )
+                    assert got_version == version
+                    assert got == want
+
     def test_follower_state_matches_the_log_replay_exactly(self, stream):
         dataset, retrofitter, store, factory = stream
         tier = ReplicatedServingTier(
@@ -377,49 +414,55 @@ class TestWriterPath:
             assert tier.topk_batch(queries, 4) == serial.topk_batch(queries, 4)
 
 
+def sigkill_primary_then_write(stream, n_shards, n_replicas):
+    """SIGKILL the primary after one acked write; the next write must
+    land on a primary respawned from the store, with the grid intact."""
+    dataset, retrofitter, store, factory = stream
+    rng = np.random.default_rng(11)
+    queries = rng.integers(-3, 4, size=(3, 16)).astype(np.float64)
+    tier = ReplicatedServingTier(
+        store.root, "rn", n_replicas=n_replicas, n_shards=n_shards,
+        database=dataset.database, retrofitter=retrofitter,
+        retrofitter_factory=factory, solve_iterations=60,
+        heartbeat_interval=0.1,
+    )
+    with tier:
+        first = tier.submit(make_delta(dataset, 1))
+        assert first.wait(timeout=120) == 1
+        os.kill(tier.primary_pid, signal.SIGKILL)
+        # the very next write rides the failover: death detection, a
+        # primary respawned over the store's latest version with the
+        # front's database mirror, then the apply lands there
+        second = tier.submit(make_delta(dataset, 2))
+        assert second.wait(timeout=120) == 2
+        assert tier.failovers == 1
+        assert tier.last_failover_seconds is not None
+        assert not tier.write_degraded
+        # no worker was consumed by the failover: the grid is whole
+        stats = tier.stats
+        assert (stats.n_shards, stats.n_replicas) == (n_shards, n_replicas)
+        assert stats.live_followers == n_shards * n_replicas
+        # the respawned primary published to the same log: the workers
+        # and the store agree bit-for-bit
+        version, matrix = tier.replica_matrix()
+        loaded, _, loaded_version = store.load_embedding_set_versioned("rn")
+        assert version == loaded_version == 2
+        assert np.array_equal(matrix, loaded.matrix)
+        serial = ServingSession(loaded)
+        serial.settle_indexes()
+        assert tier.topk_batch(
+            queries, 5, min_version=2
+        ) == serial.topk_batch(queries, 5)
+    assert tier.stats.writes_applied == 2
+
+
 @pytest.mark.stress
 class TestFailover:
     def test_primary_sigkill_promotes_and_writes_resume(self, stream):
-        dataset, retrofitter, store, factory = stream
-        rng = np.random.default_rng(11)
-        queries = rng.integers(-3, 4, size=(3, 16)).astype(np.float64)
-        tier = ReplicatedServingTier(
-            store.root, "rn", n_replicas=2,
-            database=dataset.database, retrofitter=retrofitter,
-            retrofitter_factory=factory, solve_iterations=60,
-            heartbeat_interval=0.1,
-        )
-        with tier:
-            first = tier.submit(make_delta(dataset, 1))
-            assert first.wait(timeout=120) == 1
-            os.kill(tier.primary_pid, signal.SIGKILL)
-            # the very next write rides the failover: death detection,
-            # election of the most-caught-up follower, promotion with the
-            # front's database mirror, then the apply lands there
-            second = tier.submit(make_delta(dataset, 2))
-            assert second.wait(timeout=120) == 2
-            assert tier.failovers == 1
-            assert tier.last_failover_seconds is not None
-            assert not tier.write_degraded
-            # the promoted primary published to the same log: followers
-            # and the store agree bit-for-bit
-            version, matrix = tier.replica_matrix()
-            loaded, _, loaded_version = store.load_embedding_set_versioned(
-                "rn"
-            )
-            assert version == loaded_version == 2
-            assert np.array_equal(matrix, loaded.matrix)
-            serial = ServingSession(loaded)
-            serial.settle_indexes()
-            assert tier.topk_batch(
-                queries, 5, min_version=2
-            ) == serial.topk_batch(queries, 5)
-            # the replacement follower restores the read pool
-            deadline = time.monotonic() + 30.0
-            while tier.live_followers < 2:
-                assert time.monotonic() < deadline, "respawn never completed"
-                time.sleep(0.05)
-        assert tier.stats.writes_applied == 2
+        sigkill_primary_then_write(stream, n_shards=1, n_replicas=2)
+
+    def test_primary_sigkill_on_a_sharded_grid_writes_resume(self, stream):
+        sigkill_primary_then_write(stream, n_shards=2, n_replicas=1)
 
     def test_follower_sigkill_reads_survive_then_respawn(self, int_corpus):
         store, session, queries = int_corpus
@@ -428,10 +471,10 @@ class TestFailover:
         ) as tier:
             want = session.topk_batch(queries, 8)
             assert tier.topk_batch(queries, 8) == want
-            victim = tier._replicas[0]
+            victim = tier._grid[0][0]
             os.kill(victim.process.pid, signal.SIGKILL)
             victim.process.join(timeout=10)
-            # reads re-route to the surviving follower, answers unchanged
+            # reads re-route to the surviving replica, answers unchanged
             assert tier.topk_batch(queries, 8) == want
             deadline = time.monotonic() + 30.0
             while tier.live_followers < 2:

@@ -1,4 +1,4 @@
-"""Property tests: the sharded tier answers exactly like a single index.
+"""Property tests: the tier's shard grid answers exactly like one index.
 
 The tie-stable top-k contract (ascending-index tie-breaking in
 ``topk_descending``, ``(score desc, global id asc)`` in the front's merge)
@@ -6,6 +6,10 @@ makes the equality *exact*: same rows, same order, same float bits.  The
 matrices here are integer-valued, so every dot product is exactly
 representable and the comparison is ``==``, not ``allclose`` — any
 tie-handling or partition bug fails deterministically.
+
+Layouts are ``(n_shards, n_replicas)`` grids of one
+:class:`ReplicatedServingTier`; a bare id ``N`` is the ``(N, 1)`` layout,
+``NxR`` the ``(N, R)`` one.
 """
 
 import os
@@ -24,12 +28,24 @@ from repro.retrofit.pipeline import RetroPipeline
 from repro.serving import (
     EmbeddingStore,
     RateLimiter,
+    ReplicatedServingTier,
     ServingSession,
-    ShardedServingTier,
     stable_shard,
 )
+from repro.serving.replicated import _ShardState
 
-SHARD_COUNTS = [1, 2, 5]
+#: ``(n_shards, n_replicas)`` over {1, 2, 5} × {1, 2}.
+LAYOUTS = [pytest.param(n, 1, id=str(n)) for n in (1, 2, 5)] + [
+    pytest.param(n, 2, id=f"{n}x2") for n in (1, 2, 5)
+]
+
+
+def grid(store, artifact, n_shards, n_replicas=1, **options):
+    """A tier over ``store`` laid out as ``n_shards × n_replicas``."""
+    return ReplicatedServingTier(
+        store.root, artifact, n_shards=n_shards, n_replicas=n_replicas,
+        **options,
+    )
 
 
 class TestStableShard:
@@ -69,20 +85,20 @@ def int_corpus(tmdb_extraction, tmp_path):
 
 
 class TestShardedEqualsSingleIndex:
-    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_topk_batch_identical(self, int_corpus, n_shards):
+    @pytest.mark.parametrize("n_shards, n_replicas", LAYOUTS)
+    def test_topk_batch_identical(self, int_corpus, n_shards, n_replicas):
         store, session, queries = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=n_shards) as tier:
+        with grid(store, "int", n_shards, n_replicas) as tier:
             for k in (1, 3, 10):
                 assert tier.topk_batch(queries, k) == session.topk_batch(
                     queries, k
                 )
 
-    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_category_scope_identical(self, int_corpus, n_shards):
+    @pytest.mark.parametrize("n_shards, n_replicas", LAYOUTS)
+    def test_category_scope_identical(self, int_corpus, n_shards, n_replicas):
         store, session, queries = int_corpus
         categories = sorted(session.categories)[:3]
-        with ShardedServingTier(store.root, "int", n_shards=n_shards) as tier:
+        with grid(store, "int", n_shards, n_replicas) as tier:
             for category in categories:
                 assert tier.topk_batch(
                     queries, 5, category=category
@@ -90,7 +106,7 @@ class TestShardedEqualsSingleIndex:
 
     def test_k_beyond_corpus_returns_everything(self, int_corpus):
         store, session, queries = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=2) as tier:
+        with grid(store, "int", 2) as tier:
             got = tier.topk_batch(queries[:2], 10_000)
             want = session.topk_batch(queries[:2], 10_000)
             assert got == want
@@ -98,20 +114,20 @@ class TestShardedEqualsSingleIndex:
 
     def test_single_query_topk(self, int_corpus):
         store, session, queries = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=3) as tier:
+        with grid(store, "int", 3) as tier:
             assert tier.topk(queries[0], 7) == session.topk(queries[0], 7)
 
     def test_unknown_category_raises_like_the_session(self, int_corpus):
         store, session, queries = int_corpus
         with pytest.raises(ExtractionError):
             session.topk(queries[0], 3, category="nope.nope")
-        with ShardedServingTier(store.root, "int", n_shards=2) as tier:
+        with grid(store, "int", 2) as tier:
             with pytest.raises(ExtractionError):
                 tier.topk(queries[0], 3, category="nope.nope")
 
     def test_read_only_tier_refuses_writes(self, int_corpus):
         store, _, _ = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=2) as tier:
+        with grid(store, "int", 2) as tier:
             with pytest.raises(ServingError, match="no writer side"):
                 tier.submit(DatabaseDelta())
 
@@ -120,11 +136,15 @@ class TestShardedIndexKinds:
     """``index_kind`` swaps the per-shard scope index; an exhaustive NSW
     beam keeps the tier's exact-equality contract bit for bit."""
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_nsw_per_shard_equals_single_index(self, int_corpus, n_shards):
+    @pytest.mark.parametrize(
+        "n_shards, n_replicas", [pytest.param(3, 1, id="3"), *LAYOUTS]
+    )
+    def test_nsw_per_shard_equals_single_index(
+        self, int_corpus, n_shards, n_replicas
+    ):
         store, session, queries = int_corpus
-        tier = ShardedServingTier(
-            store.root, "int", n_shards=n_shards, index_kind="nsw",
+        tier = grid(
+            store, "int", n_shards, n_replicas, index_kind="nsw",
             index_params={"max_degree": 8, "ef_search": 100_000},
         )
         with tier:
@@ -136,8 +156,8 @@ class TestShardedIndexKinds:
     def test_nsw_category_scope_identical(self, int_corpus):
         store, session, queries = int_corpus
         category = sorted(session.categories)[0]
-        tier = ShardedServingTier(
-            store.root, "int", n_shards=2, index_kind="nsw",
+        tier = grid(
+            store, "int", 2, index_kind="nsw",
             index_params={"max_degree": 8, "ef_search": 100_000},
         )
         with tier:
@@ -148,7 +168,7 @@ class TestShardedIndexKinds:
     def test_rejects_unknown_kind(self, int_corpus):
         store, _, _ = int_corpus
         with pytest.raises(ServingError, match="index kind"):
-            ShardedServingTier(store.root, "int", index_kind="kdtree")
+            grid(store, "int", 2, index_kind="kdtree")
 
 
 @pytest.fixture()
@@ -195,13 +215,13 @@ class TestDeltaReplay:
         session.settle_indexes()
         rng = np.random.default_rng(3)
         queries = rng.integers(-3, 4, size=(6, 16)).astype(np.float64)
-        with ShardedServingTier(store.root, "rn", n_shards=2) as tier:
+        with grid(store, "rn", 2) as tier:
             assert tier.topk_batch(queries, 6) == session.topk_batch(queries, 6)
             for key in (1, 2, 3):
                 update = retrofitter.apply(dataset.database, make_delta(dataset, key))
                 store.append_embedding_set_delta("rn", update)
                 session.apply_update(update)
-                assert tier.sync_shards() == key
+                assert tier.sync_replicas() == key
                 assert tier.topk_batch(queries, 6) == session.topk_batch(
                     queries, 6
                 )
@@ -215,8 +235,8 @@ class TestDeltaReplay:
         dataset, retrofitter, store = stream
         rng = np.random.default_rng(4)
         queries = rng.integers(-3, 4, size=(5, 16)).astype(np.float64)
-        tier = ShardedServingTier(
-            store.root, "rn", n_shards=2,
+        tier = grid(
+            store, "rn", 2,
             database=dataset.database, retrofitter=retrofitter,
             solve_iterations=60,
         )
@@ -234,11 +254,58 @@ class TestDeltaReplay:
         assert tier.stats.writes_applied == 2
 
 
+class TestShardSliceCompaction:
+    def test_lagging_slice_falls_back_to_the_snapshot(self, stream):
+        """Shard slices that lost records to a compaction re-bootstrap
+        from the (newer) base snapshot, tail the rest, and still
+        partition the store's replayed matrix exactly."""
+        dataset, retrofitter, store = stream
+        slices = [_ShardState(store, "rn", shard, 2, "cosine") for shard in (0, 1)]
+        for key in (1, 2, 3):
+            update = retrofitter.apply(dataset.database, make_delta(dataset, key))
+            store.append_embedding_set_delta("rn", update)
+        store.compact_embedding_set("rn")  # folds 1..3, prunes the records
+        assert store.base_version("rn") == 3
+        update = retrofitter.apply(dataset.database, make_delta(dataset, 4))
+        store.append_embedding_set_delta("rn", update)
+        loaded, _, version = store.load_embedding_set_versioned("rn")
+        assert version == 4
+        matrix = np.full_like(loaded.matrix, np.nan)
+        for state in slices:
+            state.sync_to_latest()  # records 1..3 are gone: snapshot + tail
+            assert state.version == 4
+            matrix[state.local_ids] = state.vectors
+        assert sum(state.local_ids.size for state in slices) == len(loaded)
+        assert np.array_equal(matrix, loaded.matrix)
+
+    def test_tier_compaction_then_query(self, stream):
+        dataset, retrofitter, store = stream
+        rng = np.random.default_rng(9)
+        queries = rng.integers(-3, 4, size=(3, 16)).astype(np.float64)
+        tier = grid(
+            store, "rn", 2,
+            database=dataset.database, retrofitter=retrofitter,
+            solve_iterations=60,
+        )
+        with tier:
+            for key in (1, 2):
+                tier.submit(make_delta(dataset, key))
+            tier.flush(timeout=300)
+            tier.sync_replicas()
+            assert tier.compact() == 2
+            assert store.base_version("rn") == 2
+            assert store.list_embedding_set_deltas("rn") == []
+            loaded, _, _ = store.load_embedding_set_versioned("rn")
+            serial = ServingSession(loaded)
+            serial.settle_indexes()
+            assert tier.topk_batch(queries, 4) == serial.topk_batch(queries, 4)
+
+
 class TestWriteAdmission:
     def test_rate_limit_rejects_before_the_queue(self, stream):
         dataset, retrofitter, store = stream
-        tier = ShardedServingTier(
-            store.root, "rn", n_shards=1,
+        tier = grid(
+            store, "rn", 1,
             database=dataset.database, retrofitter=retrofitter,
             solve_iterations=30,
             write_rate_limit=RateLimiter(0.01, burst=1),
@@ -258,10 +325,10 @@ class TestWriteAdmission:
 class TestCrashRecovery:
     def test_worker_crash_degrades_then_respawns(self, int_corpus):
         store, session, queries = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=2) as tier:
+        with grid(store, "int", 2) as tier:
             want = session.topk_batch(queries, 8)
             assert tier.topk_batch(queries, 8) == want
-            victim = tier._shards[0].process
+            victim = tier._grid[0][0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             # served degraded: only shard 1's rows, but still well-formed
@@ -271,8 +338,8 @@ class TestCrashRecovery:
                 for category, text, _ in row:
                     assert stable_shard(category, text, 2) == 1
             deadline = time.monotonic() + 30.0
-            while tier.live_shards < 2:
+            while tier.live_followers < 2:
                 assert time.monotonic() < deadline, "respawn never completed"
                 time.sleep(0.05)
-            assert tier.stats.shard_respawns == 1
+            assert tier.stats.follower_respawns == 1
             assert tier.topk_batch(queries, 8) == want
