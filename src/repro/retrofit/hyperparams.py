@@ -112,11 +112,13 @@ class DirectedRelation:
             for node, count in zip(self.source_indices, self.out_degree_counts)
         }
 
-    def out_degree_vector(self, n_values: int) -> np.ndarray:
-        """``od_r`` as a dense vector of length ``n_values``."""
-        degree = np.zeros(n_values, dtype=np.float64)
-        degree[self.source_indices] = self.out_degree_counts
-        return degree
+    @property
+    def source_positions(self) -> np.ndarray:
+        """Position of every pair's source in :attr:`source_indices`.
+
+        Built on every access.
+        """
+        return np.searchsorted(self.source_indices, self.source_rows)
 
     def __len__(self) -> int:
         return len(self.source_rows)
@@ -178,7 +180,14 @@ def participation_counts(
 
 @dataclass
 class DerivedWeights:
-    """All per-node and per-relation weights derived from the global settings."""
+    """All per-node and per-relation weights derived from the global settings.
+
+    The per-relation node weights γ^r_i and δ^r_i (RN) are non-zero only on
+    the relation's source nodes, so they are stored per source:
+    ``gamma_source[r][p]`` belongs to node ``directed[r].source_indices[p]``.
+    :attr:`gamma_node` and :attr:`delta_rn_node` expand them into dense
+    length-``n_values`` vectors on demand.
+    """
 
     hyperparams: RetroHyperparameters
     n_values: int
@@ -186,9 +195,9 @@ class DerivedWeights:
     participation: np.ndarray = field(init=False)
     alpha_vec: np.ndarray = field(init=False)
     beta_vec: np.ndarray = field(init=False)
-    gamma_node: list[np.ndarray] = field(init=False)
+    gamma_source: list[np.ndarray] = field(init=False)
     delta_ro: list[float] = field(init=False)
-    delta_rn_node: list[np.ndarray] = field(init=False)
+    delta_rn_source: list[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         hp = self.hyperparams
@@ -198,21 +207,20 @@ class DerivedWeights:
         self.alpha_vec = np.full(n, hp.alpha, dtype=np.float64)
         self.beta_vec = hp.beta / denominator
 
-        self.gamma_node = []
+        self.gamma_source = []
         self.delta_ro = []
-        self.delta_rn_node = []
+        self.delta_rn_source = []
         max_participation = int(denominator.max()) if n else 1
         for relation in self.directed:
-            gamma = np.zeros(n, dtype=np.float64)
-            if hp.gamma > 0 and relation.source_indices.size:
-                gamma[relation.source_indices] = hp.gamma / (
-                    relation.out_degree_counts * denominator[relation.source_indices]
-                )
-            self.gamma_node.append(gamma)
+            sources = relation.source_indices
+            gamma = np.zeros(sources.size, dtype=np.float64)
+            if hp.gamma > 0 and sources.size:
+                gamma = hp.gamma / (relation.out_degree_counts * denominator[sources])
+            self.gamma_source.append(gamma)
 
             # Eq. 13: mr(r) is the maximal |R_i|+1 of any participant of r,
             # mc(r) the maximal column cardinality.
-            participants = np.union1d(relation.source_indices, relation.target_indices)
+            participants = np.union1d(sources, relation.target_indices)
             if participants.size:
                 mr = int(denominator[participants].max())
             else:
@@ -222,17 +230,39 @@ class DerivedWeights:
 
             # Eq. 14 (series solver, centroid interpretation): the subtracted
             # term equals delta/(|R_i|+1) times the centroid of all targets.
-            delta_rn = np.zeros(n, dtype=np.float64)
-            if hp.delta > 0 and relation.n_targets and relation.source_indices.size:
-                delta_rn[relation.source_indices] = hp.delta / (
-                    relation.n_targets * denominator[relation.source_indices]
-                )
-            self.delta_rn_node.append(delta_rn)
+            delta_rn = np.zeros(sources.size, dtype=np.float64)
+            if hp.delta > 0 and relation.n_targets and sources.size:
+                delta_rn = hp.delta / (relation.n_targets * denominator[sources])
+            self.delta_rn_source.append(delta_rn)
+
+    def _dense(self, per_source: list[np.ndarray]) -> list[np.ndarray]:
+        dense = []
+        for relation, values in zip(self.directed, per_source):
+            vector = np.zeros(self.n_values, dtype=np.float64)
+            vector[relation.source_indices] = values
+            dense.append(vector)
+        return dense
+
+    @property
+    def gamma_node(self) -> list[np.ndarray]:
+        """γ^r_i as one dense length-``n_values`` vector per relation.
+
+        Built on every access; the solvers use :attr:`gamma_source`.
+        """
+        return self._dense(self.gamma_source)
+
+    @property
+    def delta_rn_node(self) -> list[np.ndarray]:
+        """δ^r_i (RN) as one dense length-``n_values`` vector per relation.
+
+        Built on every access; the solvers use :attr:`delta_rn_source`.
+        """
+        return self._dense(self.delta_rn_source)
 
     def gamma_pair_weights(self, relation_index: int) -> np.ndarray:
         """γ weight of every pair of the given directed relation (by pair order)."""
         relation = self.directed[relation_index]
-        return self.gamma_node[relation_index][relation.source_rows]
+        return self.gamma_source[relation_index][relation.source_positions]
 
 
 def check_convexity(

@@ -52,19 +52,20 @@ def relational_loss(
     """Evaluate the relational retrofitting objective Ψ(W) (Eq. 4–6)."""
     if matrix.shape != base_matrix.shape or matrix.shape != centroids.shape:
         raise RetrofitError("matrix, base matrix and centroids must share a shape")
-    diff_original = matrix - base_matrix
-    loss = float(np.sum(weights.alpha_vec * np.sum(diff_original**2, axis=1)))
-    diff_centroid = matrix - centroids
-    loss += float(np.sum(weights.beta_vec * np.sum(diff_centroid**2, axis=1)))
+    # one n×d scratch matrix serves both squared distances
+    squares = np.subtract(matrix, base_matrix)
+    np.multiply(squares, squares, out=squares)
+    loss = float(np.sum(weights.alpha_vec * np.sum(squares, axis=1)))
+    np.subtract(matrix, centroids, out=squares)
+    np.multiply(squares, squares, out=squares)
+    loss += float(np.sum(weights.beta_vec * np.sum(squares, axis=1)))
 
     for rel_index, relation in enumerate(weights.directed):
-        gamma_node = weights.gamma_node[rel_index]
         delta = weights.delta_ro[rel_index]
         src = relation.source_rows
         dst = relation.target_rows
-        if len(src):
-            pair_sq = np.sum((matrix[src] - matrix[dst]) ** 2, axis=1)
-            loss += float(np.sum(gamma_node[src] * pair_sq))
+        pair_sq = np.sum((matrix[src] - matrix[dst]) ** 2, axis=1)
+        loss += float(np.sum(weights.gamma_pair_weights(rel_index) * pair_sq))
         if delta > 0.0:
             # The dissimilarity term ranges over the complement E˜r: all
             # (source, target) combinations of the relation that are *not*
@@ -74,18 +75,22 @@ def relational_loss(
             targets = relation.target_indices
             if len(sources) == 0 or len(targets) == 0:
                 continue
-            src_rows = matrix[sources]
-            dst_rows = matrix[targets]
-            src_sq = np.sum(src_rows**2, axis=1)
-            dst_sq = np.sum(dst_rows**2, axis=1)
-            cross = src_rows @ dst_rows.T
-            all_sq = (
-                src_sq[:, None] + dst_sq[None, :] - 2.0 * cross
-            )  # squared distances, |sources| x |targets|
-            total = float(all_sq.sum())
-            related = float(np.sum(np.sum((matrix[src] - matrix[dst]) ** 2, axis=1)))
-            loss -= delta * (total - related)
+            total = _squared_distance_sum(matrix[sources], matrix[targets])
+            loss -= delta * (total - float(np.sum(pair_sq)))
     return loss
+
+
+def _squared_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """``Σ_i Σ_j ‖a_i − b_j‖²`` over all row pairs, in closed form.
+
+    Equals ``|b|·Σ_i‖a_i‖² + |a|·Σ_j‖b_j‖² − 2·(Σ_i a_i)·(Σ_j b_j)``,
+    so no ``|a| × |b|`` matrix is materialised.
+    """
+    return float(
+        len(b) * np.sum(a**2)
+        + len(a) * np.sum(b**2)
+        - 2.0 * (a.sum(axis=0) @ b.sum(axis=0))
+    )
 
 
 def faruqui_loss(

@@ -11,6 +11,15 @@ Two solvers are provided:
   iteration renormalises the rows, which keeps the series bounded for any
   non-negative hyperparameter setting.
 
+A relation's dissimilarity term lives on its source rows only: every other
+row's coefficient is zero.  The full-matrix solvers therefore apply each
+relation's term to those rows alone, relation by relation in the same
+order and with the same per-row operations as a dense update over all
+rows, which makes the restriction bit-exact: skipping a row only skips
+subtracting a zero.  The per-relation state follows the same rule — node
+weights, out-degrees and adjacencies are held per source, never as dense
+length-n vectors or n×n matrices.
+
 Both solvers additionally have slow, loop-based reference implementations
 (:meth:`RetroSolver.solve_optimization_naive`,
 :meth:`RetroSolver.solve_series_naive`) that follow the per-vector update
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -95,7 +105,7 @@ class RetroSolver:
             extraction.relation_groups, self.n_values
         )
         self.weights = DerivedWeights(self.hyperparams, self.n_values, self.directed)
-        self.centroids = category_centroids(self.base_matrix, extraction.categories)
+        self._centroids: np.ndarray | None = None
         self.is_convex, self.convexity_margin = check_convexity(
             self.hyperparams, self.directed, self.n_values, weights=self.weights
         )
@@ -104,12 +114,20 @@ class RetroSolver:
                 "hyperparameters violate the convexity condition "
                 f"(margin {self.convexity_margin:.4f}); lower delta or raise alpha"
             )
-        self._gamma_matrix_symmetric: sparse.csr_matrix | None = None
-        self._gamma_matrix_directed: sparse.csr_matrix | None = None
-        self._adjacency: list[sparse.csr_matrix | None] = []
-        self._source_indicator: list[np.ndarray] = []
-        self._out_degree_vec: list[np.ndarray] = []
         self._build_sparse_structures()
+
+    @property
+    def centroids(self) -> np.ndarray:
+        """The per-node category centroid matrix ``c`` (Eq. 5).
+
+        Built on first access: only a solve with β > 0 and the loss read
+        it, so a β = 0 solver never holds this n×d matrix.
+        """
+        if self._centroids is None:
+            self._centroids = category_centroids(
+                self.base_matrix, self.extraction.categories
+            )
+        return self._centroids
 
     # ------------------------------------------------------------------ #
     # shared precomputation
@@ -120,62 +138,98 @@ class RetroSolver:
         return index + 1 if index % 2 == 0 else index - 1
 
     def _build_sparse_structures(self) -> None:
-        n = self.n_values
-        sym_rows: list[np.ndarray] = []
-        sym_cols: list[np.ndarray] = []
-        sym_vals: list[np.ndarray] = []
-        dir_vals: list[np.ndarray] = []
-        for index, relation in enumerate(self.directed):
-            inverse = self._inverse_index(index)
-            gamma_here = self.weights.gamma_node[index][relation.source_rows]
-            gamma_inverse = self.weights.gamma_node[inverse][relation.target_rows]
-            sym_rows.append(relation.source_rows)
-            sym_cols.append(relation.target_rows)
-            sym_vals.append(gamma_here + gamma_inverse)
-            dir_vals.append(gamma_here)
-
-            # per-relation adjacency matrices are built lazily (see
-            # _relation_adjacency): only the RO delta term needs them
-            self._adjacency.append(None)
-            indicator = np.zeros(n, dtype=np.float64)
-            indicator[relation.source_indices] = 1.0
-            self._source_indicator.append(indicator)
-            self._out_degree_vec.append(relation.out_degree_vector(n))
-
-        if sym_rows:
-            rows = np.concatenate(sym_rows)
-            cols = np.concatenate(sym_cols)
-            self._gamma_matrix_symmetric = sparse.csr_matrix(
-                (np.concatenate(sym_vals), (rows, cols)), shape=(n, n)
+        # per-relation csr adjacency matrices, built lazily (see
+        # _relation_adjacency): only the RO delta term needs them
+        self._adjacency = [None] * len(self.directed)
+        # relations with the same target set share one target sum per
+        # iteration (see _target_sum): same gather, same sum, same bits
+        target_sets: dict[bytes, int] = {}
+        self._target_group: list[int] = []
+        # each relation's source rows as a slice when they are contiguous
+        # (most are: extraction numbers one column's values consecutively),
+        # so its term updates a view instead of a gather and a scatter
+        self._source_rows: list[slice | np.ndarray] = []
+        for relation in self.directed:
+            key = relation.target_indices.tobytes()
+            self._target_group.append(target_sets.setdefault(key, len(target_sets)))
+            sources = relation.source_indices
+            contiguous = sources.size and sources[-1] - sources[0] + 1 == sources.size
+            self._source_rows.append(
+                slice(int(sources[0]), int(sources[-1]) + 1) if contiguous else sources
             )
-            self._gamma_matrix_directed = sparse.csr_matrix(
-                (np.concatenate(dir_vals), (rows, cols)), shape=(n, n)
-            )
-            # structural (unweighted) adjacency union, used by the k-hop
-            # affected-row search of the incremental path
-            self._support = sparse.csr_matrix(
-                (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
-            )
-        else:
-            self._gamma_matrix_symmetric = sparse.csr_matrix((n, n))
-            self._gamma_matrix_directed = sparse.csr_matrix((n, n))
-            self._support = sparse.csr_matrix((n, n))
         self._delta_pair_constants = [
             self.weights.delta_ro[index]
             + self.weights.delta_ro[self._inverse_index(index)]
             for index in range(len(self.directed))
         ]
 
+    def _pair_matrix(self, values: list[np.ndarray] | None) -> sparse.csr_matrix:
+        """An n×n matrix over every directed pair, ``values`` per relation
+        in pair order (ones when ``None``)."""
+        n = self.n_values
+        if not self.directed:
+            return sparse.csr_matrix((n, n))
+        rows = np.concatenate([relation.source_rows for relation in self.directed])
+        cols = np.concatenate([relation.target_rows for relation in self.directed])
+        if values is None:
+            data = np.ones(rows.size, dtype=np.float64)
+        else:
+            data = np.concatenate(values)
+        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+    # The three n×n pair matrices are built on first use: an RO solve
+    # needs only the symmetric one, an RN solve only the directed one.
+    @cached_property
+    def _gamma_matrix_symmetric(self) -> sparse.csr_matrix:
+        """``γ^r_i + γ^r'_j`` on every pair ``(i, j)`` (RO, Eq. 10)."""
+        # the inverse relation holds the same pairs reversed, in the same
+        # order, so its pair weights line up with this relation's
+        return self._pair_matrix([
+            self.weights.gamma_pair_weights(index)
+            + self.weights.gamma_pair_weights(self._inverse_index(index))
+            for index in range(len(self.directed))
+        ])
+
+    @cached_property
+    def _gamma_matrix_directed(self) -> sparse.csr_matrix:
+        """``γ^r_i`` on every pair ``(i, j)`` (RN, Eq. 11)."""
+        return self._pair_matrix([
+            self.weights.gamma_pair_weights(index)
+            for index in range(len(self.directed))
+        ])
+
+    @cached_property
+    def _support(self) -> sparse.csr_matrix:
+        """Structural (unweighted) adjacency union, used by the k-hop
+        affected-row search of the incremental path."""
+        return self._pair_matrix(None)
+
     def _relation_adjacency(self, index: int) -> sparse.csr_matrix:
-        """The (lazily built, cached) 0/1 adjacency of one directed relation."""
+        """The (lazily built, cached) 0/1 adjacency of one directed relation.
+
+        Only the relation's source rows are stored: row ``p`` belongs to
+        node ``source_indices[p]``.  Each row holds the same entries in the
+        same order as the row of the full n×n adjacency, so a product with
+        it is bit-identical to that row of the full product.
+        """
         if self._adjacency[index] is None:
             relation = self.directed[index]
             ones = np.ones(len(relation), dtype=np.float64)
             self._adjacency[index] = sparse.csr_matrix(
-                (ones, (relation.source_rows, relation.target_rows)),
-                shape=(self.n_values, self.n_values),
+                (ones, (relation.source_positions, relation.target_rows)),
+                shape=(relation.n_sources, self.n_values),
             )
         return self._adjacency[index]
+
+    def _target_sum(
+        self, matrix: np.ndarray, index: int, sums: dict[int, np.ndarray]
+    ) -> np.ndarray:
+        """Σ of the target vectors of relation ``index``, memoised in ``sums``
+        per distinct target set."""
+        group = self._target_group[index]
+        if group not in sums:
+            sums[group] = matrix[self.directed[index].target_indices].sum(axis=0)
+        return sums[group]
 
     # ------------------------------------------------------------------ #
     # public entry points
@@ -422,13 +476,21 @@ class RetroSolver:
     # ------------------------------------------------------------------ #
     # single full-matrix steps (the incremental path's residual check)
     # ------------------------------------------------------------------ #
-    def _cached_base_term(self) -> np.ndarray:
-        if not hasattr(self, "_base_term_cache"):
-            self._base_term_cache = (
-                self.weights.alpha_vec[:, None] * self.base_matrix
-                + self.weights.beta_vec[:, None] * self.centroids
-            )
-        return self._base_term_cache
+    def _base_term(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """``α_i·W0_i + β_i·c_i`` for ``rows`` (all rows when ``None``).
+
+        Not cached: a solve computes it once and drops it when it returns.
+        """
+        alpha, base = self.weights.alpha_vec, self.base_matrix
+        if rows is not None:
+            alpha, base = alpha[rows], base[rows]
+        term = alpha[:, None] * base
+        if self.hyperparams.beta > 0:
+            beta, centroids = self.weights.beta_vec, self.centroids
+            if rows is not None:
+                beta, centroids = beta[rows], centroids[rows]
+            term = term + beta[:, None] * centroids
+        return term
 
     def _cached_ro_denominator(self) -> np.ndarray:
         if not hasattr(self, "_ro_denominator_cache"):
@@ -442,11 +504,9 @@ class RetroSolver:
                 constant = self._delta_pair_constants[index]
                 if constant == 0.0:
                     continue
-                complement_size = (
-                    self._source_indicator[index] * relation.n_targets
-                    - self._out_degree_vec[index]
-                )
-                denominator = denominator - constant * complement_size
+                # |E˜r(i)| = n_targets(r) - od_r(i) on the source rows
+                complement_size = relation.n_targets - relation.out_degree_counts
+                denominator[relation.source_indices] -= constant * complement_size
             self._ro_denominator_cache = np.where(
                 np.abs(denominator) < _EPSILON, 1.0, denominator
             )
@@ -462,10 +522,7 @@ class RetroSolver:
                     for index in range(len(self.directed))
                     if self._delta_pair_constants[index] != 0.0
                 ]
-                weights = [
-                    self._delta_pair_constants[index] * self._source_indicator[index]
-                    for index in used
-                ]
+                weights = [self._delta_pair_constants[index] for index in used]
                 combined = None
                 if used:
                     vals = np.concatenate([
@@ -487,16 +544,15 @@ class RetroSolver:
             else:
                 used = [
                     index
-                    for index, node in enumerate(self.weights.delta_rn_node)
+                    for index, node in enumerate(self.weights.delta_rn_source)
                     if node.any()
                 ]
-                weights = [self.weights.delta_rn_node[index] for index in used]
+                weights = [self.weights.delta_rn_source[index] for index in used]
                 combined = None
-            stack = (
-                np.vstack(weights)
-                if weights
-                else np.zeros((0, self.n_values))
-            )
+            # dense (len(used), n) weight rows, zero off each relation's sources
+            stack = np.zeros((len(used), self.n_values))
+            for position, (index, values) in enumerate(zip(used, weights)):
+                stack[position, self.directed[index].source_indices] = values
             setattr(self, key, (used, stack, combined))
         return getattr(self, key)
 
@@ -526,7 +582,7 @@ class RetroSolver:
                 relational = relational - (
                     stack.T @ targets - combined @ matrix
                 )
-            numerator = self._cached_base_term() + relational
+            numerator = self._base_term() + relational
             updated = numerator / self._cached_ro_denominator()[:, None]
             return self._repair_rows(updated, matrix)
         used, stack, _ = self._full_stacks("RN")
@@ -534,7 +590,7 @@ class RetroSolver:
         if used:
             targets = self._target_stack_for(used, matrix)
             relational = relational - stack.T @ targets
-        numerator = self._cached_base_term() + relational
+        numerator = self._base_term() + relational
         updated = self._normalise(numerator)
         return self._repair_rows(updated, matrix)
 
@@ -563,7 +619,11 @@ class RetroSolver:
         rows: np.ndarray | None,
         sliced: "_SlicedStructures | None" = None,
     ) -> np.ndarray:
-        """The RO relational numerator term (Eq. 10 + Eq. 15), per row subset."""
+        """The RO relational numerator term (Eq. 10 + Eq. 15), per row subset.
+
+        Without ``sliced``, relation ``r`` subtracts
+        ``c_r · (Σ_targets − A_r[sources] @ W)`` from its source rows only.
+        """
         if sliced is not None:
             relational = sliced.gamma_symmetric @ matrix
             if sliced.used:
@@ -573,16 +633,14 @@ class RetroSolver:
                 )
             return relational
         relational = self._gamma_matrix_symmetric @ matrix
-        for index, relation in enumerate(self.directed):
-            constant = self._delta_pair_constants[index]
+        target_sums: dict[int, np.ndarray] = {}
+        for index, constant in enumerate(self._delta_pair_constants):
             if constant == 0.0:
                 continue
-            target_sum = matrix[relation.target_indices].sum(axis=0)
-            indicator = self._source_indicator[index]
-            adjacency = self._relation_adjacency(index)
-            relational = relational - constant * (
-                indicator[:, None] * target_sum[None, :] - adjacency @ matrix
-            )
+            term = self._relation_adjacency(index) @ matrix
+            np.subtract(self._target_sum(matrix, index, target_sums), term, out=term)
+            term *= constant
+            relational[self._source_rows[index]] -= term
         return relational
 
     def _relational_term_rn(
@@ -591,7 +649,11 @@ class RetroSolver:
         rows: np.ndarray | None,
         sliced: "_SlicedStructures | None" = None,
     ) -> np.ndarray:
-        """The RN relational numerator term (Eq. 11 + Eq. 16), per row subset."""
+        """The RN relational numerator term (Eq. 11 + Eq. 16), per row subset.
+
+        Without ``sliced``, relation ``r`` subtracts ``δ_r[i] · Σ_targets``
+        from each of its source rows ``i`` only.
+        """
         if sliced is not None:
             relational = sliced.gamma_directed @ matrix
             if sliced.used:
@@ -600,12 +662,14 @@ class RetroSolver:
                 )
             return relational
         relational = self._gamma_matrix_directed @ matrix
-        for index, relation in enumerate(self.directed):
-            delta_node = self.weights.delta_rn_node[index]
-            if not delta_node.any():
+        target_sums: dict[int, np.ndarray] = {}
+        for index, delta_source in enumerate(self.weights.delta_rn_source):
+            if not delta_source.any():
                 continue
-            target_sum = matrix[relation.target_indices].sum(axis=0)
-            relational = relational - delta_node[:, None] * target_sum[None, :]
+            target_sum = self._target_sum(matrix, index, target_sums)
+            relational[self._source_rows[index]] -= np.multiply.outer(
+                delta_source, target_sum
+            )
         return relational
 
     def _starting_matrix(
@@ -624,7 +688,7 @@ class RetroSolver:
     @staticmethod
     def _apply_frozen(
         updated: np.ndarray,
-        reference: np.ndarray,
+        reference: np.ndarray | None,
         frozen_rows: np.ndarray | None,
     ) -> np.ndarray:
         if frozen_rows is None:
@@ -654,10 +718,10 @@ class RetroSolver:
         if W_init is not None:
             initial_matrix = W_init
         matrix = self._starting_matrix(initial_matrix, normalise=False)
-        frozen_reference = matrix.copy()
+        frozen_reference = None if frozen_rows is None else matrix.copy()
         rows = self._resolve_active(active_rows, frozen_rows)
         safe_denominator = self._cached_ro_denominator()
-        base_term = self._cached_base_term()
+        base_term = self._base_term(rows)
         shift_history: list[float] = []
         loss_history: list[float] = []
         if track_loss:
@@ -668,16 +732,18 @@ class RetroSolver:
         for _ in range(iterations):
             relational = self._relational_term_ro(matrix, rows, sliced)
             if rows is None:
-                numerator = base_term + relational
-                updated = numerator / safe_denominator[:, None]
+                # the fresh relational term becomes the update in place
+                relational += base_term
+                updated = np.divide(
+                    relational, safe_denominator[:, None], out=relational
+                )
             else:
-                numerator = base_term[rows] + relational
                 updated = matrix.copy()
+                numerator = base_term + relational
                 updated[rows] = numerator / safe_denominator[rows][:, None]
             updated = self._repair_rows(updated, matrix)
             updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
-            changed = updated - matrix if rows is None else updated[rows] - matrix[rows]
-            shift = float(np.max(np.linalg.norm(changed, axis=1), initial=0.0))
+            shift = self._max_shift(updated, matrix, rows)
             shift_history.append(shift)
             if sliced is not None:
                 sliced.advance(matrix, updated)
@@ -727,8 +793,8 @@ class RetroSolver:
         matrix = self._starting_matrix(initial_matrix, normalise=rows is None)
         if rows is not None and rows.size:
             matrix[rows] = self._normalise(matrix[rows])
-        frozen_reference = matrix.copy()
-        base_term = self._cached_base_term()
+        frozen_reference = None if frozen_rows is None else matrix.copy()
+        base_term = self._base_term(rows)
         shift_history: list[float] = []
         loss_history: list[float] = []
         if track_loss:
@@ -739,16 +805,15 @@ class RetroSolver:
         for _ in range(iterations):
             relational = self._relational_term_rn(matrix, rows, sliced)
             if rows is None:
-                numerator = base_term + relational
-                updated = self._normalise(numerator)
+                # the fresh relational term becomes the update in place
+                relational += base_term
+                updated = self._normalise(relational, out=relational)
             else:
-                numerator = base_term[rows] + relational
                 updated = matrix.copy()
-                updated[rows] = self._normalise(numerator)
+                updated[rows] = self._normalise(base_term + relational)
             updated = self._repair_rows(updated, matrix)
             updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
-            changed = updated - matrix if rows is None else updated[rows] - matrix[rows]
-            shift = float(np.max(np.linalg.norm(changed, axis=1), initial=0.0))
+            shift = self._max_shift(updated, matrix, rows)
             shift_history.append(shift)
             if sliced is not None:
                 sliced.advance(matrix, updated)
@@ -778,28 +843,30 @@ class RetroSolver:
     def solve_optimization_naive(self, iterations: int = 20) -> np.ndarray:
         """Literal per-vector implementation of Eq. 8 (Jacobi-style updates)."""
         matrix = self.base_matrix.copy()
-        # membership sets built once — relation.out_degree is a property
-        # that materialises a whole dict per access
+        # membership sets and dense weight views built once: the views are
+        # properties that build new vectors on every access
         source_sets = [
             set(relation.source_indices.tolist()) for relation in self.directed
         ]
+        centroids = self.centroids
+        gamma_node = self.weights.gamma_node
         for _ in range(iterations):
             updated = matrix.copy()
             for i in range(self.n_values):
                 numerator = (
                     self.weights.alpha_vec[i] * self.base_matrix[i]
-                    + self.weights.beta_vec[i] * self.centroids[i]
+                    + self.weights.beta_vec[i] * centroids[i]
                 )
                 denominator = self.weights.alpha_vec[i] + self.weights.beta_vec[i]
                 for index, relation in enumerate(self.directed):
                     inverse = self._inverse_index(index)
-                    gamma_i = self.weights.gamma_node[index][i]
+                    gamma_i = gamma_node[index][i]
                     delta_const = (
                         self.weights.delta_ro[index] + self.weights.delta_ro[inverse]
                     )
                     related_targets = relation.target_rows[relation.source_rows == i]
                     for j in related_targets:
-                        weight = gamma_i + self.weights.gamma_node[inverse][j]
+                        weight = gamma_i + gamma_node[inverse][j]
                         numerator = numerator + weight * matrix[j]
                         denominator += weight
                     if delta_const > 0.0 and i in source_sets[index]:
@@ -818,16 +885,19 @@ class RetroSolver:
     def solve_series_naive(self, iterations: int = 10) -> np.ndarray:
         """Literal per-vector implementation of Eq. 9 (Jacobi-style updates)."""
         matrix = self._normalise(self.base_matrix.copy())
+        centroids = self.centroids
+        gamma_node = self.weights.gamma_node
+        delta_rn_node = self.weights.delta_rn_node
         for _ in range(iterations):
             updated = matrix.copy()
             for i in range(self.n_values):
                 numerator = (
                     self.weights.alpha_vec[i] * self.base_matrix[i]
-                    + self.weights.beta_vec[i] * self.centroids[i]
+                    + self.weights.beta_vec[i] * centroids[i]
                 )
                 for index, relation in enumerate(self.directed):
-                    gamma_i = self.weights.gamma_node[index][i]
-                    delta_i = self.weights.delta_rn_node[index][i]
+                    gamma_i = gamma_node[index][i]
+                    delta_i = delta_rn_node[index][i]
                     related_targets = relation.target_rows[relation.source_rows == i]
                     for j in related_targets:
                         numerator = numerator + gamma_i * matrix[j]
@@ -847,10 +917,24 @@ class RetroSolver:
         return relational_loss(matrix, self.base_matrix, self.centroids, self.weights)
 
     @staticmethod
-    def _normalise(matrix: np.ndarray) -> np.ndarray:
+    def _normalise(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         norms = np.linalg.norm(matrix, axis=1)
         safe = np.where(norms < _EPSILON, 1.0, norms)
-        return matrix / safe[:, None]
+        return np.divide(matrix, safe[:, None], out=out)
+
+    @staticmethod
+    def _max_shift(
+        updated: np.ndarray, previous: np.ndarray, rows: np.ndarray | None
+    ) -> float:
+        """The largest row movement of one iteration (over ``rows`` only)."""
+        if rows is None:
+            changed = updated - previous
+        else:
+            changed = updated[rows] - previous[rows]
+        # row norms as np.linalg.norm computes them, sqrt(Σ x²), with the
+        # squares written in place instead of into a second temporary
+        np.multiply(changed, changed, out=changed)
+        return float(np.max(np.sqrt(np.add.reduce(changed, axis=1)), initial=0.0))
 
     @staticmethod
     def _repair_rows(updated: np.ndarray, previous: np.ndarray) -> np.ndarray:

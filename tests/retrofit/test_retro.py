@@ -4,6 +4,7 @@ convergence behaviour, loss decrease, incremental freezing.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import ConvexityError, RetrofitError
 from repro.retrofit.extraction import extract_text_values
@@ -69,6 +70,175 @@ class TestAgainstNaiveReference:
         matrix, report = solver.solve_series(iterations=6, tolerance=0.0)
         naive = solver.solve_series_naive(iterations=report.iterations)
         assert np.allclose(matrix, naive, atol=1e-8)
+
+
+def _dense_reference_solve(solver, method, iterations, W_init=None, frozen_rows=None):
+    """The dense per-relation update, a bitwise reference for the solvers'
+    source-row restriction.
+
+    Every relation term spans all n rows: a 0/1 source indicator, dense
+    per-node weights, an n×n adjacency and a full base term with centroids.
+    The loop mirrors the solver's (repair, freeze, no early stop).
+    """
+    n = solver.n_values
+    weights = solver.weights
+    directed = solver.directed
+    gamma_node = weights.gamma_node
+    delta_rn_node = weights.delta_rn_node
+
+    def inverse(index):
+        return index + 1 if index % 2 == 0 else index - 1
+
+    def normalise(matrix):
+        norms = np.linalg.norm(matrix, axis=1)
+        return matrix / np.where(norms < 1e-12, 1.0, norms)[:, None]
+
+    pair_rows = np.concatenate([r.source_rows for r in directed])
+    pair_cols = np.concatenate([r.target_rows for r in directed])
+    here = [gamma_node[i][r.source_rows] for i, r in enumerate(directed)]
+    there = [gamma_node[inverse(i)][r.target_rows] for i, r in enumerate(directed)]
+    gamma_symmetric = sparse.csr_matrix(
+        (np.concatenate([a + b for a, b in zip(here, there)]), (pair_rows, pair_cols)),
+        shape=(n, n),
+    )
+    gamma_directed = sparse.csr_matrix(
+        (np.concatenate(here), (pair_rows, pair_cols)), shape=(n, n)
+    )
+    indicators, adjacencies, out_degrees = [], [], []
+    for relation in directed:
+        indicator = np.zeros(n)
+        indicator[relation.source_indices] = 1.0
+        indicators.append(indicator)
+        out_degree = np.zeros(n)
+        out_degree[relation.source_indices] = relation.out_degree_counts
+        out_degrees.append(out_degree)
+        adjacencies.append(sparse.csr_matrix(
+            (np.ones(len(relation)), (relation.source_rows, relation.target_rows)),
+            shape=(n, n),
+        ))
+    constants = [
+        weights.delta_ro[i] + weights.delta_ro[inverse(i)] for i in range(len(directed))
+    ]
+    centroids = category_centroids(solver.base_matrix, solver.extraction.categories)
+    base_term = (
+        weights.alpha_vec[:, None] * solver.base_matrix
+        + weights.beta_vec[:, None] * centroids
+    )
+    denominator = (
+        weights.alpha_vec + weights.beta_vec
+        + np.asarray(gamma_symmetric.sum(axis=1)).ravel()
+    )
+    for index, relation in enumerate(directed):
+        if constants[index] != 0.0:
+            denominator = denominator - constants[index] * (
+                indicators[index] * relation.n_targets - out_degrees[index]
+            )
+    denominator = np.where(np.abs(denominator) < 1e-12, 1.0, denominator)
+
+    start = solver.base_matrix if W_init is None else W_init
+    matrix = start.copy() if method == "RO" else normalise(start)
+    reference = matrix.copy()
+    for _ in range(iterations):
+        if method == "RO":
+            relational = gamma_symmetric @ matrix
+            for index, relation in enumerate(directed):
+                if constants[index] == 0.0:
+                    continue
+                target_sum = matrix[relation.target_indices].sum(axis=0)
+                relational = relational - constants[index] * (
+                    indicators[index][:, None] * target_sum[None, :]
+                    - adjacencies[index] @ matrix
+                )
+            updated = (base_term + relational) / denominator[:, None]
+        else:
+            relational = gamma_directed @ matrix
+            for index, relation in enumerate(directed):
+                if not delta_rn_node[index].any():
+                    continue
+                target_sum = matrix[relation.target_indices].sum(axis=0)
+                relational = relational - (
+                    delta_rn_node[index][:, None] * target_sum[None, :]
+                )
+            updated = normalise(base_term + relational)
+        bad = ~np.all(np.isfinite(updated), axis=1)
+        updated[bad] = matrix[bad]
+        if frozen_rows is not None:
+            updated[frozen_rows] = reference[frozen_rows]
+        matrix = updated
+    return matrix
+
+
+class TestBitwiseAgainstDenseReference:
+    """The source-row restriction must not reorder a single floating-point
+    operation: outputs equal the dense per-relation update bit for bit.
+    (The naive-reference tests above check the equations at 1e-8.)"""
+
+    @pytest.mark.parametrize("method,params", [
+        ("RO", RetroHyperparameters.paper_ro_default()),
+        ("RN", RetroHyperparameters.paper_rn_default()),
+        ("RO", RetroHyperparameters(alpha=2.0, beta=0.5, gamma=1.0, delta=1.0)),
+        ("RN", RetroHyperparameters(alpha=1.0, beta=1.0, gamma=2.0, delta=0.5)),
+    ], ids=["ro-paper", "rn-paper", "ro-beta", "rn-beta"])
+    @pytest.mark.parametrize("start", ["cold", "w_init", "frozen_rows"])
+    def test_solver_equals_dense_reference(self, tmdb_problem, method, params, start):
+        extraction, base = tmdb_problem
+        rng = np.random.default_rng(11)
+        W_init = frozen = None
+        if start == "w_init":
+            W_init = base + 0.05 * rng.normal(size=base.shape)
+        if start == "frozen_rows":
+            frozen = rng.random(base.shape[0]) < 0.2
+        solver = RetroSolver(extraction, base, params)
+        solve = solver.solve_optimization if method == "RO" else solver.solve_series
+        iterations = 8
+        matrix, report = solve(
+            iterations=iterations, tolerance=0.0, W_init=W_init, frozen_rows=frozen
+        )
+        assert report.iterations == iterations
+        expected = _dense_reference_solve(solver, method, iterations, W_init, frozen)
+        assert np.array_equal(matrix, expected)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through attributes, containers
+    and repro objects, with its attribute path."""
+    seen, stack = set(), [(root, "solver")]
+    while stack:
+        value, path = stack.pop()
+        if id(value) in seen or isinstance(value, (str, bytes, int, float)):
+            continue
+        seen.add(id(value))
+        yield path, value
+        if isinstance(value, dict):
+            stack.extend((item, f"{path}[{key!r}]") for key, item in value.items())
+        elif isinstance(value, (list, tuple)):
+            stack.extend((item, f"{path}[{pos}]") for pos, item in enumerate(value))
+        elif type(value).__module__.startswith("repro") and hasattr(value, "__dict__"):
+            stack.extend((item, f"{path}.{name}") for name, item in vars(value).items())
+
+
+class TestLeanSolverState:
+    def test_no_dense_per_relation_state_after_ro_and_rn_solves(self, tmdb_problem):
+        extraction, base = tmdb_problem
+        n, d = base.shape
+        for params, method in (
+            (RetroHyperparameters.paper_ro_default(), "optimization"),
+            (RetroHyperparameters.paper_rn_default(), "series"),
+        ):
+            solver = RetroSolver(extraction, base, params)
+            solver.solve(method=method)
+            offenders = []
+            for path, value in _reachable(solver):
+                if isinstance(value, np.ndarray) and value.shape == (n, d):
+                    if value is not solver.base_matrix:
+                        offenders.append(f"{path}: an n×d array")
+                elif isinstance(value, (list, tuple)) and any(
+                    (isinstance(item, np.ndarray) and item.shape == (n,))
+                    or (sparse.issparse(item) and item.shape[0] == n)
+                    for item in value
+                ):
+                    offenders.append(f"{path}: a list of length-n rows")
+            assert not offenders, (method, sorted(offenders))
 
 
 class TestOptimizationSolver:

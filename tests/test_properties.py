@@ -187,6 +187,42 @@ class TestRelationProperties:
                 assert abs(total - gamma / (participation + 1)) < 1e-9
 
 
+    @given(
+        st.lists(pair_lists, min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_dissimilarity_loss_equals_bruteforce_sum(self, groups, dim, seed):
+        """The closed-form dissimilarity term of relational_loss equals the
+        literal sum of δ_r·‖w_i − w_j‖² over every unrelated (source,
+        target) combination of every relation."""
+        from repro.retrofit.hyperparams import DerivedWeights
+        from repro.retrofit.loss import relational_loss
+
+        relation_groups = [
+            RelationGroup(f"r{k}", "fk", "a", "b", pairs=sorted(set(pairs)))
+            for k, pairs in enumerate(groups)
+        ]
+        directed = build_directed_relations(relation_groups, n_values=10)
+        # W = W0 and β = γ = 0: only the dissimilarity term is left
+        params = RetroHyperparameters(alpha=1.0, beta=0.0, gamma=0.0, delta=2.0)
+        weights = DerivedWeights(params, 10, directed)
+        matrix = np.random.default_rng(seed).normal(size=(10, dim))
+        expected = 0.0
+        for relation, delta in zip(directed, weights.delta_ro):
+            related = set(zip(relation.source_rows.tolist(),
+                              relation.target_rows.tolist()))
+            for i in relation.source_indices.tolist():
+                for j in relation.target_indices.tolist():
+                    if (i, j) not in related:
+                        expected -= delta * float(np.sum((matrix[i] - matrix[j]) ** 2))
+        loss = relational_loss(matrix, matrix, matrix, weights)
+        # relative tolerance 1e-10; the absolute floor covers an empty
+        # complement, where the closed form leaves rounding residue
+        assert abs(loss - expected) <= 1e-10 * abs(expected) + 1e-9
+
+
 class TestIndexProperties:
     """Equivalence guards for the serving indexes, mirroring the naive-vs-
     vectorised solver guard in tests/retrofit/test_retro.py."""
