@@ -23,6 +23,7 @@ uses to carry state across the change.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -206,11 +207,15 @@ class DeltaMap:
     ``old_to_new[i]`` is the new index of old record ``i`` (``-1`` when the
     record was removed); ``added_indices`` are brand-new records in the new
     indexing, ``removed_indices`` the dropped ones in the old indexing.
+    ``added_pairs`` maps each relation group to the ``(k, 2)`` index pairs
+    the delta inserted into it; only a delta that removes nothing records
+    them (``None`` otherwise).
     """
 
     old_to_new: np.ndarray
     added_indices: list[int]
     removed_indices: list[int]
+    added_pairs: dict[str, np.ndarray] | None = None
 
     @property
     def n_added(self) -> int:
@@ -343,6 +348,7 @@ class ExtractionResult:
                 added_indices.append(index)
 
         groups_by_name = {group.name: group for group in self.relation_groups}
+        added_pairs: dict[str, np.ndarray] = {}
         for relation_delta in delta.relations:
             if not relation_delta.added:
                 continue
@@ -357,20 +363,27 @@ class ExtractionResult:
                 )
                 self.relation_groups.append(group)
                 groups_by_name[relation_delta.name] = group
-            fresh = {
+            fresh = sorted({
                 (
                     resolve(group.source_category, s, group.name),
                     resolve(group.target_category, t, group.name),
                 )
                 for s, t in relation_delta.added
-            }
-            merged = set(group.pairs) | fresh
-            if len(merged) != len(group.pairs):
-                group.pairs = sorted(merged)
+            })
+            # the pairs stay sorted: each new one goes in at its bisected position
+            inserted = []
+            for pair in fresh:
+                at = bisect_left(group.pairs, pair)
+                if at == len(group.pairs) or group.pairs[at] != pair:
+                    group.pairs.insert(at, pair)
+                    inserted.append(pair)
+            if inserted:
+                added_pairs[group.name] = np.asarray(inserted, dtype=np.int64)
         return DeltaMap(
             old_to_new=np.arange(n_before, dtype=np.int64),
             added_indices=added_indices,
             removed_indices=[],
+            added_pairs=added_pairs,
         )
 
     def copy(self) -> "ExtractionResult":
@@ -378,25 +391,25 @@ class ExtractionResult:
 
         Applying a delta mutates the extraction in place; embedding sets
         built over the pre-delta state keep their own copy so they stay
-        internally consistent.
+        internally consistent.  The value index is copied, not rebuilt.
         """
-        return ExtractionResult(
-            records=list(self.records),
-            categories={
-                category: list(indices)
-                for category, indices in self.categories.items()
-            },
-            relation_groups=[
-                RelationGroup(
-                    name=group.name,
-                    kind=group.kind,
-                    source_category=group.source_category,
-                    target_category=group.target_category,
-                    pairs=list(group.pairs),
-                )
-                for group in self.relation_groups
-            ],
-        )
+        copied = object.__new__(ExtractionResult)
+        copied.records = list(self.records)
+        copied.categories = {
+            category: list(indices) for category, indices in self.categories.items()
+        }
+        copied.relation_groups = [
+            RelationGroup(
+                name=group.name,
+                kind=group.kind,
+                source_category=group.source_category,
+                target_category=group.target_category,
+                pairs=list(group.pairs),
+            )
+            for group in self.relation_groups
+        ]
+        copied._index = dict(self._index)
+        return copied
 
     def apply_delta(self, delta: ExtractionDelta) -> DeltaMap:
         """Fold a value-level delta into this extraction, in place.
@@ -804,6 +817,26 @@ def _spec_relevant_columns(
     return relevant
 
 
+def _has_pair(
+    extraction: ExtractionResult,
+    group: RelationGroup | None,
+    source_category: str,
+    target_category: str,
+    pair: tuple[str, str],
+) -> bool:
+    """Whether ``group`` already holds the text pair ``pair``: resolve both
+    ends to indices and bisect the sorted pairs."""
+    if group is None:
+        return False
+    index = extraction._index
+    source = index.get((source_category, pair[0]))
+    target = index.get((target_category, pair[1]))
+    if source is None or target is None:
+        return False
+    at = bisect_left(group.pairs, (source, target))
+    return at < len(group.pairs) and group.pairs[at] == (source, target)
+
+
 def derive_extraction_delta(
     extraction: ExtractionResult,
     database: Database,
@@ -905,17 +938,16 @@ def derive_extraction_delta(
         if not spec_tables & touched:
             continue
         group = existing_groups.get(spec.name)
-        previous_pairs: set[tuple[str, str]] = set()
-        if group is not None:
-            previous_pairs = {
-                (extraction.records[i].text, extraction.records[j].text)
-                for i, j in group.pairs
-            }
-
         needs_rescan = bool(spec_tables & deleted_tables) or bool(
             _spec_relevant_columns(database, spec) & updated_columns
         )
         if needs_rescan:
+            previous_pairs: set[tuple[str, str]] = set()
+            if group is not None:
+                previous_pairs = {
+                    (extraction.records[i].text, extraction.records[j].text)
+                    for i, j in group.pairs
+                }
             current_pairs = _materialise_text_pairs(database, spec)
             if group is None and len(current_pairs) < min_relation_pairs:
                 continue  # was dropped at extraction time and stays too small
@@ -927,7 +959,10 @@ def derive_extraction_delta(
             candidate = _delta_insert_pairs(database, spec, inserted_stored)
             if group is None and len(candidate) < min_relation_pairs:
                 continue
-            added_pairs = sorted(candidate - previous_pairs)
+            added_pairs = sorted(
+                pair for pair in candidate
+                if not _has_pair(extraction, group, source_cat, target_cat, pair)
+            )
             removed_pairs = []
         if added_pairs or removed_pairs:
             relations.append(

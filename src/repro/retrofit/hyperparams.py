@@ -22,6 +22,7 @@ The module also implements the convexity condition of Eq. 7 / Eq. 24.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,44 @@ class DirectedRelation:
     def __len__(self) -> int:
         return len(self.source_rows)
 
+    def pair_keys(self) -> np.ndarray:
+        """Every pair as ``source << 32 | target``, ascending (built once).
+
+        Sorted keys order the pairs by source, then target — the order in
+        which a pair matrix row holds one relation's entries — so the
+        pairs of source ``i`` are the keys in ``[i << 32, (i + 1) << 32)``.
+        """
+        if getattr(self, "_keys", None) is None:
+            self._keys = np.sort(pair_key(self.source_rows, self.target_rows))
+        return self._keys
+
+    def with_pairs(
+        self, positions: np.ndarray, sources: np.ndarray, targets: np.ndarray
+    ) -> "DirectedRelation":
+        """This relation with new pairs inserted before pair ``positions``.
+
+        The pairs must be new to the relation.  Source and target sets and
+        out-degrees are merged instead of recomputed, so the result equals
+        a relation built from the grown pair list at the cost of the delta
+        plus one copy of each array.
+        """
+        grown = copy.copy(self)
+        grown.source_rows = _insert(self.source_rows, positions, sources)
+        grown.target_rows = _insert(self.target_rows, positions, targets)
+        added, counts = np.unique(sources, return_counts=True)
+        at, known = locate_sorted(self.source_indices, added)
+        degrees = self.out_degree_counts.copy()
+        degrees[at[known]] += counts[known]
+        grown.source_indices = _insert(self.source_indices, at[~known], added[~known])
+        grown.out_degree_counts = _insert(degrees, at[~known], counts[~known])
+        added = np.unique(targets)
+        at, known = locate_sorted(self.target_indices, added)
+        grown.target_indices = _insert(self.target_indices, at[~known], added[~known])
+        if getattr(self, "_keys", None) is not None:
+            keys = np.sort(pair_key(sources, targets))
+            grown._keys = _insert(self._keys, np.searchsorted(self._keys, keys), keys)
+        return grown
+
     @property
     def n_sources(self) -> int:
         """Number of distinct source nodes."""
@@ -136,6 +175,30 @@ class DirectedRelation:
     def max_cardinality(self) -> int:
         """``mc(r)`` of Eq. 13: max of the two participating column cardinalities."""
         return max(self.n_sources, self.n_targets)
+
+
+def pair_key(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``source << 32 | target``: one sortable int64 per pair."""
+    return (np.asarray(sources, dtype=np.int64) << 32) | np.asarray(targets, dtype=np.int64)
+
+
+def _insert(values: np.ndarray, positions: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``np.insert(values, positions, new)`` for non-decreasing ``positions``."""
+    grown = np.empty(values.size + new.size, dtype=values.dtype)
+    slots = positions + np.arange(new.size)
+    kept = np.ones(grown.size, dtype=bool)
+    kept[slots] = False
+    grown[slots] = new
+    grown[kept] = values
+    return grown
+
+
+def locate_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``queries`` in ``sorted_values`` and which are present."""
+    at = np.searchsorted(sorted_values, queries)
+    known = at < sorted_values.size
+    known[known] = sorted_values[at[known]] == queries[known]
+    return at, known
 
 
 def build_directed_relations(
@@ -213,16 +276,21 @@ class DerivedWeights:
         max_participation = int(denominator.max()) if n else 1
         for relation in self.directed:
             sources = relation.source_indices
-            gamma = np.zeros(sources.size, dtype=np.float64)
+            source_denominator = denominator[sources]
             if hp.gamma > 0 and sources.size:
-                gamma = hp.gamma / (relation.out_degree_counts * denominator[sources])
+                gamma = hp.gamma / (relation.out_degree_counts * source_denominator)
+            else:
+                gamma = np.zeros(sources.size, dtype=np.float64)
             self.gamma_source.append(gamma)
 
-            # Eq. 13: mr(r) is the maximal |R_i|+1 of any participant of r,
-            # mc(r) the maximal column cardinality.
-            participants = np.union1d(sources, relation.target_indices)
-            if participants.size:
-                mr = int(denominator[participants].max())
+            # Eq. 13: mr(r) is the maximal |R_i|+1 of any participant of r
+            # (the larger of the source and the target maxima), mc(r) the
+            # maximal column cardinality.
+            if sources.size or relation.target_indices.size:
+                mr = int(max(
+                    source_denominator.max(initial=0),
+                    denominator[relation.target_indices].max(initial=0),
+                ))
             else:
                 mr = max_participation
             mc = relation.max_cardinality()
@@ -230,9 +298,10 @@ class DerivedWeights:
 
             # Eq. 14 (series solver, centroid interpretation): the subtracted
             # term equals delta/(|R_i|+1) times the centroid of all targets.
-            delta_rn = np.zeros(sources.size, dtype=np.float64)
             if hp.delta > 0 and relation.n_targets and sources.size:
-                delta_rn = hp.delta / (relation.n_targets * denominator[sources])
+                delta_rn = hp.delta / (relation.n_targets * source_denominator)
+            else:
+                delta_rn = np.zeros(sources.size, dtype=np.float64)
             self.delta_rn_source.append(delta_rn)
 
     def _dense(self, per_source: list[np.ndarray]) -> list[np.ndarray]:
@@ -284,9 +353,10 @@ def check_convexity(
     for relation, delta in zip(directed, weights.delta_ro):
         if delta == 0.0 or not relation.source_indices.size:
             continue
-        # |E˜r(i)| = n_targets(r) - od_r(i) for source nodes of r.
+        # |E˜r(i)| = n_targets(r) - od_r(i) for source nodes of r (the
+        # source indices are unique, so one fancy-indexed add suffices)
         complement = relation.n_targets - relation.out_degree_counts
-        np.add.at(penalty, relation.source_indices, 4.0 * delta * complement)
+        penalty[relation.source_indices] += 4.0 * delta * complement
     worst = float(penalty.max()) if n_values else 0.0
     margin = hyperparams.alpha - worst
     return margin >= 0.0, margin

@@ -20,6 +20,20 @@ end-to-end delta pipeline:
   re-extract everything, freeze all previously known vectors, solve only
   the brand-new ones.
 
+A write costs its delta, not the corpus.  The retrofitter keeps one live
+:class:`~repro.retrofit.retro.RetroSolver` for the embeddings it last
+produced and advances it over each delta that removes nothing
+(:meth:`~repro.retrofit.retro.RetroSolver.advance`); a delta with
+removals, a delta that creates a relation group, the legacy
+:meth:`~IncrementalRetrofitter.update` and replaced embeddings build a
+new one.  It holds no reference to earlier solvers.  The residual checks
+go through a carried :class:`~repro.retrofit.retro.ResidualBound`, which
+evaluates exactly only the rows it cannot certify and flags the same
+offenders as a full :meth:`~repro.retrofit.retro.RetroSolver.residual_shift`.
+Every step keeps the arithmetic of a fresh solver, so each version's
+matrix, active set, iteration count and verdict equal those of a rebuild
+per write.
+
 The produced :class:`IncrementalUpdateResult` carries the
 :class:`~repro.retrofit.extraction.DeltaMap` and the set of moved rows, so
 the serving layer (:meth:`repro.serving.ServingSession.apply_update`) and
@@ -46,7 +60,7 @@ from repro.retrofit.extraction import (
 )
 from repro.retrofit.hyperparams import RetroHyperparameters
 from repro.retrofit.initialization import initialise_vectors
-from repro.retrofit.retro import RetroSolver, SolverReport
+from repro.retrofit.retro import ResidualBound, RetroSolver, SolverReport
 from repro.text.tokenizer import Tokenizer
 
 
@@ -114,6 +128,11 @@ class IncrementalRetrofitter:
                     "base matrix must have the same shape as the embeddings"
                 )
         self.base_matrix = base_matrix
+        # the live solver of ``self.embeddings``, and the residual state
+        # its checks carry from write to write
+        self._solver: RetroSolver | None = None
+        self._solver_embeddings: TextValueEmbeddingSet | None = None
+        self._bound = ResidualBound(method)
 
     # ------------------------------------------------------------------ #
     # the delta fast path
@@ -157,14 +176,13 @@ class IncrementalRetrofitter:
 
         started = time.perf_counter()
         new_base = self._advance_base_matrix(extraction, delta_map)
-        surviving_old = delta_map.surviving_old_indices()
-        surviving_new = delta_map.old_to_new[surviving_old]
+        surviving_new = delta_map.old_to_new[delta_map.surviving_old_indices()]
         w_init = new_base.copy()
-        w_init[surviving_new] = previous.matrix[surviving_old]
+        _carry_rows(w_init, previous.matrix, delta_map)
         timings["initialise"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        solver = RetroSolver(extraction, new_base, self.hyperparams)
+        solver = self._next_solver(previous, extraction, new_base, delta_map, w_init)
         active = self._active_rows(
             solver, extraction, extraction_delta, delta_map, seeds_old, hops
         )
@@ -184,16 +202,42 @@ class IncrementalRetrofitter:
         )
         self.embeddings = embeddings
         self.base_matrix = new_base
+        self._solver, self._solver_embeddings = solver, embeddings
         return IncrementalUpdateResult(
             embeddings=embeddings,
             report=report,
             new_indices=list(delta_map.added_indices),
-            reused_indices=[int(i) for i in surviving_new],
+            reused_indices=surviving_new.tolist(),
             delta_map=delta_map,
             extraction_delta=extraction_delta,
             changed_rows=active,
             timings=timings,
         )
+
+    def _next_solver(
+        self,
+        previous: TextValueEmbeddingSet,
+        extraction: ExtractionResult,
+        new_base: np.ndarray,
+        delta_map: DeltaMap,
+        w_init: np.ndarray,
+    ) -> RetroSolver:
+        """The solver of the new version: the live one advanced by the
+        delta where it can be, a fresh one otherwise (a delta with
+        removals, or embeddings or a base matrix replaced since)."""
+        live, self._solver = self._solver, None
+        if (
+            live is not None
+            and self._solver_embeddings is previous
+            and live.base_matrix is self.base_matrix
+            and delta_map.added_pairs is not None
+        ):
+            solver = live.advance(extraction, new_base, delta_map.added_pairs)
+            if solver is not None:
+                self._bound.rebase(live, solver, w_init)
+                return solver
+        self._bound.reset()
+        return RetroSolver(extraction, new_base, self.hyperparams)
 
     #: A row joins the incremental solve's active set when its estimated
     #: relative vector movement (see :meth:`RetroSolver.influence_rows`)
@@ -286,9 +330,11 @@ class IncrementalRetrofitter:
         """Subset-solve, then verify with full steps and grow as needed.
 
         The influence estimate picks the initial active set; after each
-        subset solve one full Jacobi step measures the true residual of
-        *every* row, and rows exceeding :attr:`residual_tolerance` are
-        added for another round.  When the loop ends without growth the
+        subset solve the residual check finds every row one more full
+        Jacobi step would move beyond :attr:`residual_tolerance` (the
+        carried :class:`~repro.retrofit.retro.ResidualBound` evaluates
+        only the rows it cannot certify), and those rows are added for
+        another round.  When the loop ends without growth the
         returned matrix is certified: one more full solver step would
         move nothing beyond tolerance.  If :data:`MAX_REFINEMENT_ROUNDS`
         runs out with offenders remaining, ``report.converged`` is set to
@@ -306,6 +352,7 @@ class IncrementalRetrofitter:
         round_tolerance = max(1e-5, tolerance / 3.0)
         certified = False
         for round_index in range(max(1, self.MAX_REFINEMENT_ROUNDS)):
+            before = matrix[active]
             matrix, report = solver.solve(
                 method=self.method,
                 iterations=iterations,
@@ -316,8 +363,9 @@ class IncrementalRetrofitter:
             total_runtime += report.runtime_seconds
             total_iterations += report.iterations
             shift_history.extend(report.shift_history)
-            residual = solver.residual_shift(matrix, self.method)
-            offenders = np.nonzero(residual > tolerance)[0]
+            offenders = self._bound.offenders(
+                solver, matrix, tolerance, moved=active, before=before
+            )
             grown = np.union1d(active, offenders)
             if grown.size == active.size:
                 certified = True
@@ -400,8 +448,7 @@ class IncrementalRetrofitter:
                 extraction, self.tokenizer.embedding, self.tokenizer
             ).matrix
         new_base = np.zeros((len(extraction), dimension), dtype=np.float64)
-        surviving_old = delta_map.surviving_old_indices()
-        new_base[delta_map.old_to_new[surviving_old]] = self.base_matrix[surviving_old]
+        _carry_rows(new_base, self.base_matrix, delta_map)
         if delta_map.added_indices:
             added_texts = [
                 extraction.records[i].text for i in delta_map.added_indices
@@ -451,6 +498,7 @@ class IncrementalRetrofitter:
             initial_matrix=initial,
             frozen_rows=frozen,
         )
+        self._solver = self._solver_embeddings = None
         embeddings = TextValueEmbeddingSet(
             extraction=extraction, matrix=matrix, name=previous.name
         )
@@ -462,6 +510,16 @@ class IncrementalRetrofitter:
             new_indices=new_indices,
             reused_indices=reused,
         )
+
+
+def _carry_rows(target: np.ndarray, source: np.ndarray, delta_map: DeltaMap) -> None:
+    """Copy every surviving row of ``source`` to its new index in ``target``
+    (a block copy when nothing was removed: then no row renumbers)."""
+    if not delta_map.removed_indices:
+        target[: source.shape[0]] = source
+        return
+    surviving = delta_map.surviving_old_indices()
+    target[delta_map.old_to_new[surviving]] = source[surviving]
 
 
 def full_and_incremental_agree(

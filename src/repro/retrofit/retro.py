@@ -20,6 +20,22 @@ subtracting a zero.  The per-relation state follows the same rule — node
 weights, out-degrees and adjacencies are held per source, never as dense
 length-n vectors or n×n matrices.
 
+Incremental maintenance keeps one solver alive across writes.  A delta
+that only adds values and pairs advances it (:meth:`RetroSolver.advance`)
+instead of rebuilding it, and the advanced solver is indistinguishable
+from a fresh ``RetroSolver`` over the new extraction: the same relation
+arrays in the same pair order, the same weights and convexity margin, and
+γ pair matrices with byte-identical CSR arrays, because every patched row
+is fed to the CSR conversion in the order a full build feeds it.  A subset
+solve writes its active rows in place, with the same per-row arithmetic a
+full-matrix update would apply to them.  :class:`ResidualBound` replaces
+the incremental path's per-round full residual step: it carries, per row,
+the residual of its last exact evaluation and an upper bound on how far
+the step's inputs have moved since, and it evaluates exactly — with
+:meth:`RetroSolver.full_step`'s row arithmetic — only the rows the bound
+cannot keep below the tolerance.  Its offender set therefore equals the
+full check's.
+
 Both solvers additionally have slow, loop-based reference implementations
 (:meth:`RetroSolver.solve_optimization_naive`,
 :meth:`RetroSolver.solve_series_naive`) that follow the per-vector update
@@ -43,10 +59,44 @@ from repro.retrofit.hyperparams import (
     RetroHyperparameters,
     build_directed_relations,
     check_convexity,
+    locate_sorted,
+    pair_key,
 )
 from repro.retrofit.loss import category_centroids, relational_loss
 
 _EPSILON = 1e-12
+
+
+def _splice_rows(
+    matrix: sparse.csr_matrix, n: int, rows: np.ndarray, patch: sparse.csr_matrix
+) -> sparse.csr_matrix:
+    """``matrix`` grown to ``n × n`` with ``rows`` (ascending) replaced by
+    ``patch``'s rows.
+
+    Both inputs are canonical (sorted columns, no duplicates), so the
+    result is too; every other row keeps its entries byte for byte, copied
+    as the runs between the replaced rows.
+    """
+    old = matrix.shape[0]
+    cut = matrix.indptr[np.minimum(rows, old)]
+    resume = matrix.indptr[np.minimum(rows + 1, old)]
+    indices, data = [], []
+    kept = 0
+    for row in range(rows.size):
+        lo, hi = patch.indptr[row], patch.indptr[row + 1]
+        indices += [matrix.indices[kept:cut[row]], patch.indices[lo:hi]]
+        data += [matrix.data[kept:cut[row]], patch.data[lo:hi]]
+        kept = resume[row]
+    indices.append(matrix.indices[kept:])
+    data.append(matrix.data[kept:])
+    lengths = np.zeros(n, dtype=np.int64)
+    lengths[:old] = np.diff(matrix.indptr)
+    lengths[rows] = np.diff(patch.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n)
+    )
 
 
 @dataclass
@@ -81,7 +131,16 @@ class SolverReport:
 
 
 class RetroSolver:
-    """Relational retrofitting over an extraction result and a base matrix ``W0``."""
+    """Relational retrofitting over an extraction result and a base matrix ``W0``.
+
+    A solver made by :meth:`advance` records ``changed_rows``, the rows
+    whose own weights or pairs changed (the delta's endpoints and new
+    rows), and ``patched_rows``, every row of the symmetric γ matrix it
+    patched; both are ``None`` on a solver built from scratch.
+    """
+
+    changed_rows: np.ndarray | None = None
+    patched_rows: np.ndarray | None = None
 
     def __init__(
         self,
@@ -104,17 +163,160 @@ class RetroSolver:
         self.directed = build_directed_relations(
             extraction.relation_groups, self.n_values
         )
-        self.weights = DerivedWeights(self.hyperparams, self.n_values, self.directed)
-        self._centroids: np.ndarray | None = None
-        self.is_convex, self.convexity_margin = check_convexity(
-            self.hyperparams, self.directed, self.n_values, weights=self.weights
-        )
+        self._derive()
         if enforce_convexity and not self.is_convex:
             raise ConvexityError(
                 "hyperparameters violate the convexity condition "
                 f"(margin {self.convexity_margin:.4f}); lower delta or raise alpha"
             )
+
+    def _derive(self) -> None:
+        """Weights, convexity and per-relation bookkeeping of ``directed``."""
+        self.weights = DerivedWeights(self.hyperparams, self.n_values, self.directed)
+        self._centroids: np.ndarray | None = None
+        self.is_convex, self.convexity_margin = check_convexity(
+            self.hyperparams, self.directed, self.n_values, weights=self.weights
+        )
         self._build_sparse_structures()
+
+    def advance(
+        self,
+        extraction: ExtractionResult,
+        base_matrix: np.ndarray,
+        added_pairs: dict[str, np.ndarray],
+    ) -> "RetroSolver | None":
+        """The solver of the next version, after a delta that removes nothing.
+
+        ``extraction`` and ``base_matrix`` are the new version's: the old
+        rows keep their indices and the new values append at the end.
+        ``added_pairs`` maps a relation group to the index pairs the delta
+        inserted into it.  Untouched relations are shared; a touched one
+        gets its new pairs at their sorted positions, with merged source
+        and target sets and out-degrees.  Weights are recomputed, and the γ
+        pair matrices built so far are patched on the rows whose entries
+        changed.  The result equals ``RetroSolver(extraction, base_matrix,
+        self.hyperparams)``.  ``None`` means the delta creates a relation
+        group, and the caller builds that solver instead.
+        """
+        forward = {
+            relation.name: index
+            for index, relation in enumerate(self.directed)
+            if index % 2 == 0
+        }
+        if any(name not in forward for name in added_pairs):
+            return None
+        solver = object.__new__(RetroSolver)
+        solver.extraction = extraction
+        solver.base_matrix = np.asarray(base_matrix, dtype=np.float64)
+        solver.hyperparams = self.hyperparams
+        solver.n_values, solver.dimension = solver.base_matrix.shape
+        if solver.n_values != len(extraction) or solver.n_values < self.n_values:
+            raise RetrofitError("advance needs the grown extraction and its base matrix")
+        directed = list(self.directed)
+        endpoints = [np.arange(self.n_values, solver.n_values, dtype=np.int64)]
+        for name, pairs in added_pairs.items():
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            if not pairs.size:
+                continue
+            index = forward[name]
+            # the forward keys are in pair order; an inverse relation keeps
+            # its pairs in the forward order, so both insert at these positions
+            positions = np.searchsorted(
+                directed[index].pair_keys(), pair_key(pairs[:, 0], pairs[:, 1])
+            )
+            directed[index] = directed[index].with_pairs(positions, pairs[:, 0], pairs[:, 1])
+            directed[index + 1] = directed[index + 1].with_pairs(
+                positions, pairs[:, 1], pairs[:, 0]
+            )
+            endpoints.append(pairs.ravel())
+        solver.directed = directed
+        if "_row_categories" in self.__dict__:
+            codes = {name: code for code, name in enumerate(extraction.categories)}
+            solver._row_categories = np.concatenate([
+                self._row_categories,
+                np.array([
+                    codes[extraction.records[row].category]
+                    for row in range(self.n_values, solver.n_values)
+                ], dtype=np.int64),
+            ])
+        solver._derive()
+        changed = solver.changed_rows = np.unique(np.concatenate(endpoints))
+        solver.patched_rows = changed
+        has_directed = "_gamma_matrix_directed" in self.__dict__
+        has_symmetric = "_gamma_matrix_symmetric" in self.__dict__
+        if not (has_directed or has_symmetric):
+            return solver
+        entries = solver._pair_entries(changed)
+        local, targets, own, partner = entries
+        n, shape = solver.n_values, (changed.size, solver.n_values)
+        if has_directed:
+            solver._gamma_matrix_directed = _splice_rows(
+                self._gamma_matrix_directed, n, changed,
+                sparse.csr_matrix((own, (local, targets)), shape=shape),
+            )
+        if has_symmetric:
+            gamma = _splice_rows(
+                self._gamma_matrix_symmetric, n, changed,
+                sparse.csr_matrix((own + partner, (local, targets)), shape=shape),
+            )
+            rows = solver._patch_neighbour_entries(gamma, changed, entries)
+            solver._gamma_matrix_symmetric = gamma
+            solver.patched_rows = rows
+            if "_gamma_row_sums" in self.__dict__:
+                sums = np.zeros(n)
+                sums[: self.n_values] = self._gamma_row_sums
+                sums[rows] = np.asarray(gamma[rows].sum(axis=1)).ravel()
+                solver._gamma_row_sums = sums
+        return solver
+
+    def _patch_neighbour_entries(
+        self, gamma: sparse.csr_matrix, changed: np.ndarray, entries
+    ) -> np.ndarray:
+        """Rewrite the entries ``(i, j)`` of the symmetric γ matrix that read
+        a changed row ``j``'s weights, in every other row ``i``.
+
+        ``entries`` are the changed rows' pairs (:meth:`_pair_entries`):
+        the pair ``(j, i)`` of relation ``r'`` is the pair ``(i, j)`` of its
+        inverse ``r``, whose term is ``γ^r_i + γ^r'_j``.  Such a row keeps
+        its structure, so the values go in place.  A full build sums the
+        terms of an entry shared by several relations in CSR order; two
+        terms add the same either way, so a row with an entry of three or
+        more terms is rebuilt instead.  Returns every row patched.
+        """
+        local, targets, own, partner = entries
+        outside = ~np.isin(targets, changed)
+        keys = pair_key(targets[outside], changed[local[outside]])
+        terms = partner[outside] + own[outside]
+        order = np.argsort(keys, kind="stable")
+        keys, terms = keys[order], terms[order]
+        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        values = terms[first]
+        pairs = counts == 2
+        values[pairs] += terms[first[pairs] + 1]
+        rows = np.unique(keys >> 32)
+        crowded = np.unique(keys[counts > 2] >> 32)
+        if crowded.size:
+            keep = ~np.isin(keys >> 32, crowded)
+            keys, values = keys[keep], values[keep]
+            rebuilt = self._pair_entries(crowded)
+            gamma_rows = sparse.csr_matrix(
+                (rebuilt[2] + rebuilt[3], (rebuilt[0], rebuilt[1])),
+                shape=(crowded.size, self.n_values),
+            )
+            spliced = _splice_rows(gamma, self.n_values, crowded, gamma_rows)
+            gamma.data, gamma.indices, gamma.indptr = (
+                spliced.data, spliced.indices, spliced.indptr
+            )
+        # each key's position among its row's sorted columns
+        own_rows = np.unique(keys >> 32)
+        starts = gamma.indptr[own_rows]
+        lengths = gamma.indptr[own_rows + 1] - starts
+        picks = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        picks += np.arange(picks.size)
+        segment = pair_key(np.repeat(np.arange(own_rows.size), lengths), gamma.indices[picks])
+        wanted = pair_key(np.searchsorted(own_rows, keys >> 32), keys & 0xFFFFFFFF)
+        gamma.data[picks[np.searchsorted(segment, wanted)]] = values
+        return np.union1d(changed, rows)
 
     @property
     def centroids(self) -> np.ndarray:
@@ -145,13 +347,18 @@ class RetroSolver:
         # iteration (see _target_sum): same gather, same sum, same bits
         target_sets: dict[bytes, int] = {}
         self._target_group: list[int] = []
+        #: One target index array per distinct target set.
+        self._target_sets: list[np.ndarray] = []
         # each relation's source rows as a slice when they are contiguous
         # (most are: extraction numbers one column's values consecutively),
         # so its term updates a view instead of a gather and a scatter
         self._source_rows: list[slice | np.ndarray] = []
         for relation in self.directed:
             key = relation.target_indices.tobytes()
-            self._target_group.append(target_sets.setdefault(key, len(target_sets)))
+            if key not in target_sets:
+                target_sets[key] = len(target_sets)
+                self._target_sets.append(relation.target_indices)
+            self._target_group.append(target_sets[key])
             sources = relation.source_indices
             contiguous = sources.size and sources[-1] - sources[0] + 1 == sources.size
             self._source_rows.append(
@@ -162,20 +369,18 @@ class RetroSolver:
             + self.weights.delta_ro[self._inverse_index(index)]
             for index in range(len(self.directed))
         ]
+        self._used: dict[str, list[int]] = {}
+        self._weight_stacks: dict[str, np.ndarray] = {}
 
-    def _pair_matrix(self, values: list[np.ndarray] | None) -> sparse.csr_matrix:
+    def _pair_matrix(self, values: list[np.ndarray]) -> sparse.csr_matrix:
         """An n×n matrix over every directed pair, ``values`` per relation
-        in pair order (ones when ``None``)."""
+        in pair order."""
         n = self.n_values
         if not self.directed:
             return sparse.csr_matrix((n, n))
         rows = np.concatenate([relation.source_rows for relation in self.directed])
         cols = np.concatenate([relation.target_rows for relation in self.directed])
-        if values is None:
-            data = np.ones(rows.size, dtype=np.float64)
-        else:
-            data = np.concatenate(values)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        return sparse.csr_matrix((np.concatenate(values), (rows, cols)), shape=(n, n))
 
     # The three n×n pair matrices are built on first use: an RO solve
     # needs only the symmetric one, an RN solve only the directed one.
@@ -199,10 +404,77 @@ class RetroSolver:
         ])
 
     @cached_property
-    def _support(self) -> sparse.csr_matrix:
-        """Structural (unweighted) adjacency union, used by the k-hop
-        affected-row search of the incremental path."""
-        return self._pair_matrix(None)
+    def _row_categories(self) -> np.ndarray:
+        """Every row's category, as its position in ``extraction.categories``."""
+        codes = np.zeros(self.n_values, dtype=np.int64)
+        for code, indices in enumerate(self.extraction.categories.values()):
+            codes[indices] = code
+        return codes
+
+    def _by_category(self, rows: np.ndarray) -> dict[int, np.ndarray]:
+        """Positions in ``rows`` (ascending) grouped by the rows' category."""
+        codes = self._row_categories[rows]
+        order = np.argsort(codes, kind="stable")
+        present, starts = np.unique(codes[order], return_index=True)
+        ends = np.append(starts[1:], order.size)
+        return {
+            int(code): order[start:end]
+            for code, start, end in zip(present, starts, ends)
+        }
+
+    def _category_of(self, indices: np.ndarray) -> int:
+        """The category of a relation's sources or targets (one per side)."""
+        return int(self._row_categories[indices[0]]) if indices.size else -1
+
+    @cached_property
+    def _gamma_row_sums(self) -> np.ndarray:
+        """Row sums of the symmetric γ matrix (RO denominator, influence scale)."""
+        return np.asarray(self._gamma_matrix_symmetric.sum(axis=1)).ravel()
+
+    def _pair_entries(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair whose source is in ``rows``, in γ pair matrix order.
+
+        Returns each pair's source as a position in ``rows``, its target,
+        ``γ^r`` of the source and ``γ^r'`` of the target (``r'`` the
+        inverse relation).  A full build (:meth:`_pair_matrix`) feeds each
+        row its entries relation by relation, and within a relation in
+        pair order, which is ascending target order.  These entries come
+        in the same sequence per row, from each relation's sorted pair
+        keys, so the CSR conversion sorts and sums them to the same bits.
+        """
+        local, columns, own, partner = [], [], [], []
+        by_category = self._by_category(rows)
+        for index, relation in enumerate(self.directed):
+            positions = by_category.get(self._category_of(relation.source_indices))
+            if positions is None:
+                continue
+            keys = relation.pair_keys()
+            mine = rows[positions]
+            low = np.searchsorted(keys, mine << 32)
+            counts = np.searchsorted(keys, (mine + 1) << 32) - low
+            hit = counts > 0
+            if not hit.any():
+                continue
+            low, counts = low[hit], counts[hit]
+            picks = np.repeat(low - (np.cumsum(counts) - counts), counts)
+            picks += np.arange(picks.size)
+            targets = keys[picks] & 0xFFFFFFFF
+            at = np.searchsorted(relation.source_indices, mine[hit])
+            own.append(np.repeat(self.weights.gamma_source[index][at], counts))
+            inverse = self._inverse_index(index)
+            at = np.searchsorted(self.directed[inverse].source_indices, targets)
+            partner.append(self.weights.gamma_source[inverse][at])
+            local.append(np.repeat(positions[hit], counts))
+            columns.append(targets)
+        if not local:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), np.empty(0)
+        return (
+            np.concatenate(local), np.concatenate(columns),
+            np.concatenate(own), np.concatenate(partner),
+        )
 
     def _relation_adjacency(self, index: int) -> sparse.csr_matrix:
         """The (lazily built, cached) 0/1 adjacency of one directed relation.
@@ -281,49 +553,13 @@ class RetroSolver:
     # ------------------------------------------------------------------ #
     # incremental-solve helpers
     # ------------------------------------------------------------------ #
-    def affected_rows(
-        self, seed_rows, hops: int = 2, frontier_degree_cap: float | None = None
-    ) -> np.ndarray:
-        """Rows within ``hops`` relation steps of ``seed_rows``, ascending.
-
-        Walks the structural union of all relation adjacencies (both
-        directions).  This is the active set of an incremental solve: rows
-        farther than ``hops`` from a change keep their converged values,
-        because their update equations only reference their immediate
-        neighbourhood (plus weak, size-normalised dissimilarity terms).
-
-        ``frontier_degree_cap`` stops the walk from expanding *through*
-        high-degree hub rows: a hub reached by the walk joins the result
-        (it gets re-solved), but only rows with total degree at or below
-        the cap propagate the frontier further.  A single changed
-        neighbour perturbs a hub by ``O(1/degree)``, so the hub's own
-        neighbourhood only sees a second-order effect — without the cap,
-        one new row that references a popular value drags in most of the
-        graph.
-        """
-        seeds = np.unique(np.asarray(list(seed_rows), dtype=np.int64))
-        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.n_values):
-            raise RetrofitError("seed rows outside the extraction's index range")
-        reach = np.zeros(self.n_values, dtype=bool)
-        reach[seeds] = True
-        propagates = None
-        if frontier_degree_cap is not None:
-            propagates = self.degree_vector() <= float(frontier_degree_cap)
-        frontier = reach.copy()
-        for _ in range(max(0, int(hops))):
-            if not frontier.any():
-                break
-            expanded = self._support @ frontier.astype(np.float64)
-            new = (expanded > 0) & ~reach
-            if not new.any():
-                break
-            reach |= new
-            frontier = new if propagates is None else new & propagates
-        return np.nonzero(reach)[0]
-
     def degree_vector(self) -> np.ndarray:
-        """Total relational degree of every row (both edge directions)."""
-        return np.asarray(self._support.sum(axis=1)).ravel()
+        """Total relational degree of every row (both edge directions): the
+        sum of its out-degrees over the directed relations."""
+        degree = np.zeros(self.n_values)
+        for relation in self.directed:
+            degree[relation.source_indices] += relation.out_degree_counts
+        return degree
 
     def influence_rows(
         self,
@@ -350,10 +586,7 @@ class RetroSolver:
                 f"perturbation vector has shape {p.shape}, expected "
                 f"({self.n_values},)"
             )
-        gamma_row_sum = np.asarray(
-            self._gamma_matrix_symmetric.sum(axis=1)
-        ).ravel()
-        scale = self.weights.alpha_vec + self.weights.beta_vec + gamma_row_sum
+        scale = self.weights.alpha_vec + self.weights.beta_vec + self._gamma_row_sums
         scale = np.where(scale < _EPSILON, 1.0, scale)
         accumulated = p.copy()
         for _ in range(max(0, int(max_hops))):
@@ -389,89 +622,57 @@ class RetroSolver:
 
         Sliced once per solve (not per iteration): csr row selection
         copies data, so hoisting it out of the iteration loop matters for
-        the incremental path.  The per-relation dissimilarity terms are
-        collapsed into stacked matrices so one iteration performs two
-        small matmuls instead of a Python loop over every relation, and
-        the per-relation target sums are maintained incrementally across
-        iterations — only active rows change, so each update costs
+        the incremental path.  Only the γ matrix of the solve's method is
+        sliced.  The per-relation dissimilarity terms are collapsed into
+        stacked matrices so one iteration performs two small matmuls
+        instead of a Python loop over every relation.  The target sums are
+        kept once per distinct target set and maintained incrementally
+        across iterations — only active rows change, so each update costs
         ``O(|targets ∩ active|·d)``, keeping the whole iteration
         proportional to the active set instead of the full extraction.
         """
 
-        def __init__(
-            self, solver: "RetroSolver", rows: np.ndarray, relation_indices, node_weights
-        ) -> None:
-            self.gamma_symmetric = solver._gamma_matrix_symmetric[rows]
-            self.gamma_directed = solver._gamma_matrix_directed[rows]
+        def __init__(self, solver: "RetroSolver", rows: np.ndarray, method: str) -> None:
             self._solver = solver
-            self._rows = rows
+            ro = method == "RO"
+            gamma = solver._gamma_matrix_symmetric if ro else solver._gamma_matrix_directed
+            self.gamma = gamma[rows]
             #: Relations with a non-zero dissimilarity term, in stack order.
-            self.used = list(relation_indices)
+            self.used = solver._used_relations(method)
             #: ``(len(used), |rows|)`` per-node dissimilarity weights.
-            self.weight_stack = (
-                np.vstack([node_weights[index][rows] for index in self.used])
-                if self.used
-                else np.zeros((0, rows.size))
+            self.weight_stack = solver._weight_rows(method, rows)
+            #: ``Σ_r c_r · A_r`` restricted to the active rows (RO only).
+            self.combined = solver._combined_ro[rows] if ro and self.used else None
+            self._groups, self._stack_rows = solver._target_groups(self.used)
+            self._sums: np.ndarray | None = None
+            # (targets ∩ rows) of every distinct target set, as positions in
+            # ``rows``, plus the group each chunk belongs to
+            by_category = solver._by_category(rows)
+            positions = []
+            for group in self._groups:
+                targets = solver._target_sets[group]
+                mine = by_category.get(solver._category_of(targets), np.empty(0, np.int64))
+                positions.append(mine[locate_sorted(targets, rows[mine])[1]])
+            self._inter = (
+                np.concatenate(positions) if positions else np.empty(0, np.int64)
             )
-            self._target_stack: np.ndarray | None = None
-            # concatenated (targets ∩ rows) of every used relation plus the
-            # stack row each chunk belongs to, for one-shot advance()
-            inters = [
-                np.intersect1d(
-                    solver.directed[index].target_indices, rows, assume_unique=True
-                )
-                for index in self.used
-            ]
-            self._inter_rows = (
-                np.concatenate(inters) if inters else np.empty(0, np.int64)
+            self._inter_groups = np.repeat(
+                np.arange(len(positions)), [chunk.size for chunk in positions]
             )
-            self._inter_segments = (
-                np.concatenate(
-                    [np.full(inter.size, pos, dtype=np.int64)
-                     for pos, inter in enumerate(inters)]
-                )
-                if inters
-                else np.empty(0, np.int64)
-            )
-            self._combined_adjacency: sparse.csr_matrix | None = None
 
         def target_stack(self, matrix: np.ndarray) -> np.ndarray:
             """``(len(used), d)`` — Σ of target vectors per used relation."""
-            if self._target_stack is None:
-                self._target_stack = np.vstack([
-                    matrix[self._solver.directed[index].target_indices].sum(axis=0)
-                    for index in self.used
-                ]) if self.used else np.zeros((0, matrix.shape[1]))
-            return self._target_stack
-
-        def combined_adjacency(self, constants) -> sparse.csr_matrix:
-            """``Σ_r c_r · A_r`` restricted to the active rows (RO only)."""
-            if self._combined_adjacency is None:
-                n = self._solver.n_values
-                parts = []
-                for index in self.used:
-                    relation = self._solver.directed[index]
-                    parts.append((
-                        np.full(len(relation), constants[index]),
-                        relation.source_rows,
-                        relation.target_rows,
-                    ))
-                if parts:
-                    vals = np.concatenate([p[0] for p in parts])
-                    srcs = np.concatenate([p[1] for p in parts])
-                    dsts = np.concatenate([p[2] for p in parts])
-                    combined = sparse.csr_matrix((vals, (srcs, dsts)), shape=(n, n))
-                else:
-                    combined = sparse.csr_matrix((n, n))
-                self._combined_adjacency = combined[self._rows]
-            return self._combined_adjacency
+            if self._sums is None:
+                self._sums = self._solver._group_sums(matrix, self._groups)
+            return self._sums[self._stack_rows]
 
         def advance(self, previous: np.ndarray, updated: np.ndarray) -> None:
-            """Fold one iteration's active-row changes into the target sums."""
-            if self._target_stack is None or not self._inter_rows.size:
+            """Fold one iteration's changes into the target sums; both hold
+            the active rows, before and after."""
+            if self._sums is None or not self._inter.size:
                 return
-            deltas = updated[self._inter_rows] - previous[self._inter_rows]
-            np.add.at(self._target_stack, self._inter_segments, deltas)
+            deltas = updated[self._inter] - previous[self._inter]
+            np.add.at(self._sums, self._inter_groups, deltas)
 
     # ------------------------------------------------------------------ #
     # single full-matrix steps (the incremental path's residual check)
@@ -494,11 +695,8 @@ class RetroSolver:
 
     def _cached_ro_denominator(self) -> np.ndarray:
         if not hasattr(self, "_ro_denominator_cache"):
-            gamma_row_sum = np.asarray(
-                self._gamma_matrix_symmetric.sum(axis=1)
-            ).ravel()
             denominator = (
-                self.weights.alpha_vec + self.weights.beta_vec + gamma_row_sum
+                self.weights.alpha_vec + self.weights.beta_vec + self._gamma_row_sums
             )
             for index, relation in enumerate(self.directed):
                 constant = self._delta_pair_constants[index]
@@ -512,87 +710,123 @@ class RetroSolver:
             )
         return self._ro_denominator_cache
 
-    def _full_stacks(self, method: str):
-        """Cached ``(used, weight_stack, combined_adjacency)`` for full steps."""
-        key = f"_full_stacks_{method}"
-        if not hasattr(self, key):
+    def _used_relations(self, method: str) -> list[int]:
+        """Relations with a non-zero dissimilarity term under ``method``."""
+        if method not in self._used:
             if method == "RO":
                 used = [
                     index
-                    for index in range(len(self.directed))
-                    if self._delta_pair_constants[index] != 0.0
+                    for index, constant in enumerate(self._delta_pair_constants)
+                    if constant != 0.0
                 ]
-                weights = [self._delta_pair_constants[index] for index in used]
-                combined = None
-                if used:
-                    vals = np.concatenate([
-                        np.full(
-                            len(self.directed[index]),
-                            self._delta_pair_constants[index],
-                        )
-                        for index in used
-                    ])
-                    srcs = np.concatenate(
-                        [self.directed[index].source_rows for index in used]
-                    )
-                    dsts = np.concatenate(
-                        [self.directed[index].target_rows for index in used]
-                    )
-                    combined = sparse.csr_matrix(
-                        (vals, (srcs, dsts)), shape=(self.n_values, self.n_values)
-                    )
             else:
                 used = [
                     index
                     for index, node in enumerate(self.weights.delta_rn_source)
                     if node.any()
                 ]
-                weights = [self.weights.delta_rn_source[index] for index in used]
-                combined = None
-            # dense (len(used), n) weight rows, zero off each relation's sources
-            stack = np.zeros((len(used), self.n_values))
-            for position, (index, values) in enumerate(zip(used, weights)):
-                stack[position, self.directed[index].source_indices] = values
-            setattr(self, key, (used, stack, combined))
-        return getattr(self, key)
+            self._used[method] = used
+        return self._used[method]
 
-    def _target_stack_for(self, used, matrix: np.ndarray) -> np.ndarray:
+    def _weight_rows(self, method: str, rows: np.ndarray | None) -> np.ndarray:
+        """``(len(used), |rows|)`` dissimilarity weights, zero off each
+        relation's sources (every row when ``rows`` is ``None``)."""
+        if method not in self._weight_stacks:
+            used = self._used_relations(method)
+            stack = np.zeros((len(used), self.n_values))
+            for position, index in enumerate(used):
+                sources = self.directed[index].source_indices
+                if method == "RO":
+                    stack[position, sources] = self._delta_pair_constants[index]
+                else:
+                    stack[position, sources] = self.weights.delta_rn_source[index]
+            self._weight_stacks[method] = stack
+        stack = self._weight_stacks[method]
+        return stack if rows is None else stack[:, rows]
+
+    @cached_property
+    def _combined_ro(self) -> sparse.csr_matrix | None:
+        """``Σ_r c_r · A_r`` over the RO-used relations (``None`` if none)."""
+        used = self._used_relations("RO")
         if not used:
-            return np.zeros((0, matrix.shape[1]))
-        return np.vstack([
-            matrix[self.directed[index].target_indices].sum(axis=0)
+            return None
+        vals = np.concatenate([
+            np.full(len(self.directed[index]), self._delta_pair_constants[index])
             for index in used
         ])
+        srcs = np.concatenate([self.directed[index].source_rows for index in used])
+        dsts = np.concatenate([self.directed[index].target_rows for index in used])
+        return sparse.csr_matrix(
+            (vals, (srcs, dsts)), shape=(self.n_values, self.n_values)
+        )
+
+    def _target_groups(self, used: list[int]) -> tuple[list[int], np.ndarray]:
+        """The distinct target sets of ``used`` and, per used relation, the
+        position of its set among them."""
+        groups = sorted({self._target_group[index] for index in used})
+        position = {group: at for at, group in enumerate(groups)}
+        return groups, np.array(
+            [position[self._target_group[index]] for index in used], dtype=np.intp
+        )
+
+    def _group_sums(self, matrix: np.ndarray, groups: list[int]) -> np.ndarray:
+        """Σ of the target vectors of each target set in ``groups``."""
+        if not groups:
+            return np.zeros((0, matrix.shape[1]))
+        return np.vstack([matrix[self._target_sets[group]].sum(axis=0) for group in groups])
+
+    def _step(
+        self,
+        matrix: np.ndarray,
+        method: str,
+        rows: np.ndarray | None = None,
+        targets: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One full Jacobi step from ``matrix`` on ``rows`` (all when ``None``).
+
+        Returns the stepped rows and the norm of each row's numerator.
+        ``targets`` are the used relations' target sums, in stack order.
+        A row subset gets the same bits as the same rows of the full step:
+        each product row reads only its own operand row (a single row is
+        evaluated twice, so the dense product stays a matrix product).
+        """
+        if rows is not None and rows.size == 1:
+            stepped, norms = self._step(matrix, method, np.repeat(rows, 2), targets)
+            return stepped[:1], norms[:1]
+        key = "RO" if method in ("optimization", "ro", "RO") else "RN"
+        used = self._used_relations(key)
+        gamma = self._gamma_matrix_symmetric if key == "RO" else self._gamma_matrix_directed
+        current = matrix if rows is None else matrix[rows]
+        relational = (gamma if rows is None else gamma[rows]) @ matrix
+        if used:
+            if targets is None:
+                groups, stack_rows = self._target_groups(used)
+                targets = self._group_sums(matrix, groups)[stack_rows]
+            dissimilar = self._weight_rows(key, rows).T @ targets
+            if key == "RO":
+                combined = self._combined_ro if rows is None else self._combined_ro[rows]
+                dissimilar = dissimilar - combined @ matrix
+            relational = relational - dissimilar
+        numerator = self._base_term(rows) + relational
+        norms = np.linalg.norm(numerator, axis=1)
+        if key == "RO":
+            denominator = self._cached_ro_denominator()
+            updated = numerator / (denominator if rows is None else denominator[rows])[:, None]
+        else:
+            safe = np.where(norms < _EPSILON, 1.0, norms)
+            updated = np.divide(numerator, safe[:, None])
+        return self._repair_rows(updated, current), norms
 
     def full_step(self, matrix: np.ndarray, method: str = "series") -> np.ndarray:
         """One full Jacobi update step of the chosen solver, from ``matrix``.
 
-        Used by incremental maintenance as a residual check: after a
-        subset solve, one full step measures how far *every* row still
-        wants to move — rows past the tolerance join the next subset
-        round.  The dissimilarity terms run in stacked form (one matmul),
-        so a step costs far less than an iteration of the naive loop.
+        The incremental path's residual check: after a subset solve, one
+        full step measures how far *every* row still wants to move — rows
+        past the tolerance join the next subset round.  The dissimilarity
+        terms run in stacked form (one matmul), so a step costs far less
+        than an iteration of the naive loop.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if method in ("optimization", "ro", "RO"):
-            used, stack, combined = self._full_stacks("RO")
-            relational = self._gamma_matrix_symmetric @ matrix
-            if used:
-                targets = self._target_stack_for(used, matrix)
-                relational = relational - (
-                    stack.T @ targets - combined @ matrix
-                )
-            numerator = self._base_term() + relational
-            updated = numerator / self._cached_ro_denominator()[:, None]
-            return self._repair_rows(updated, matrix)
-        used, stack, _ = self._full_stacks("RN")
-        relational = self._gamma_matrix_directed @ matrix
-        if used:
-            targets = self._target_stack_for(used, matrix)
-            relational = relational - stack.T @ targets
-        numerator = self._base_term() + relational
-        updated = self._normalise(numerator)
-        return self._repair_rows(updated, matrix)
+        return self._step(np.asarray(matrix, dtype=np.float64), method)[0]
 
     def residual_shift(self, matrix: np.ndarray, method: str = "series") -> np.ndarray:
         """Per-row relative movement of one more full step from ``matrix``."""
@@ -600,18 +834,6 @@ class RetroSolver:
         norms = np.linalg.norm(matrix, axis=1)
         safe = np.where(norms < _EPSILON, 1.0, norms)
         return np.linalg.norm(stepped - matrix, axis=1) / safe
-
-    def _sliced_for_ro(self, rows: np.ndarray) -> "_SlicedStructures":
-        # single source of the used-relation list and weight rows: the
-        # cached full stacks (also used by full_step's residual checks)
-        used, stack, _ = self._full_stacks("RO")
-        weights = {index: stack[position] for position, index in enumerate(used)}
-        return self._SlicedStructures(self, rows, used, weights)
-
-    def _sliced_for_rn(self, rows: np.ndarray) -> "_SlicedStructures":
-        used, stack, _ = self._full_stacks("RN")
-        weights = {index: stack[position] for position, index in enumerate(used)}
-        return self._SlicedStructures(self, rows, used, weights)
 
     def _relational_term_ro(
         self,
@@ -625,11 +847,11 @@ class RetroSolver:
         ``c_r · (Σ_targets − A_r[sources] @ W)`` from its source rows only.
         """
         if sliced is not None:
-            relational = sliced.gamma_symmetric @ matrix
+            relational = sliced.gamma @ matrix
             if sliced.used:
                 relational = relational - (
                     sliced.weight_stack.T @ sliced.target_stack(matrix)
-                    - sliced.combined_adjacency(self._delta_pair_constants) @ matrix
+                    - sliced.combined @ matrix
                 )
             return relational
         relational = self._gamma_matrix_symmetric @ matrix
@@ -655,7 +877,7 @@ class RetroSolver:
         from each of its source rows ``i`` only.
         """
         if sliced is not None:
-            relational = sliced.gamma_directed @ matrix
+            relational = sliced.gamma @ matrix
             if sliced.used:
                 relational = relational - (
                     sliced.weight_stack.T @ sliced.target_stack(matrix)
@@ -728,7 +950,7 @@ class RetroSolver:
             loss_history.append(self._loss(matrix))
         performed = 0
         converged = False
-        sliced = None if rows is None else self._sliced_for_ro(rows)
+        sliced = None if rows is None else self._SlicedStructures(self, rows, "RO")
         for _ in range(iterations):
             relational = self._relational_term_ro(matrix, rows, sliced)
             if rows is None:
@@ -737,17 +959,15 @@ class RetroSolver:
                 updated = np.divide(
                     relational, safe_denominator[:, None], out=relational
                 )
+                updated = self._repair_rows(updated, matrix)
+                updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
+                shift = self._max_shift(updated, matrix, rows)
+                matrix = updated
             else:
-                updated = matrix.copy()
                 numerator = base_term + relational
-                updated[rows] = numerator / safe_denominator[rows][:, None]
-            updated = self._repair_rows(updated, matrix)
-            updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
-            shift = self._max_shift(updated, matrix, rows)
+                fresh = numerator / safe_denominator[rows][:, None]
+                shift = self._advance_rows(matrix, rows, fresh, sliced)
             shift_history.append(shift)
-            if sliced is not None:
-                sliced.advance(matrix, updated)
-            matrix = updated
             performed += 1
             if track_loss:
                 loss_history.append(self._loss(matrix))
@@ -801,23 +1021,21 @@ class RetroSolver:
             loss_history.append(self._loss(matrix))
         performed = 0
         converged = False
-        sliced = None if rows is None else self._sliced_for_rn(rows)
+        sliced = None if rows is None else self._SlicedStructures(self, rows, "RN")
         for _ in range(iterations):
             relational = self._relational_term_rn(matrix, rows, sliced)
             if rows is None:
                 # the fresh relational term becomes the update in place
                 relational += base_term
                 updated = self._normalise(relational, out=relational)
+                updated = self._repair_rows(updated, matrix)
+                updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
+                shift = self._max_shift(updated, matrix, rows)
+                matrix = updated
             else:
-                updated = matrix.copy()
-                updated[rows] = self._normalise(base_term + relational)
-            updated = self._repair_rows(updated, matrix)
-            updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
-            shift = self._max_shift(updated, matrix, rows)
+                fresh = self._normalise(base_term + relational)
+                shift = self._advance_rows(matrix, rows, fresh, sliced)
             shift_history.append(shift)
-            if sliced is not None:
-                sliced.advance(matrix, updated)
-            matrix = updated
             performed += 1
             if track_loss:
                 loss_history.append(self._loss(matrix))
@@ -922,6 +1140,25 @@ class RetroSolver:
         safe = np.where(norms < _EPSILON, 1.0, norms)
         return np.divide(matrix, safe[:, None], out=out)
 
+    def _advance_rows(
+        self,
+        matrix: np.ndarray,
+        rows: np.ndarray,
+        fresh: np.ndarray,
+        sliced: "_SlicedStructures",
+    ) -> float:
+        """Write a subset iteration's ``fresh`` active rows into ``matrix``
+        in place; returns the iteration's largest row movement.
+
+        Frozen rows never enter the active set, so nothing else can move.
+        """
+        current = matrix[rows]
+        fresh = self._repair_rows(fresh, current)
+        shift = self._max_shift(fresh, current, None)
+        sliced.advance(current, fresh)
+        matrix[rows] = fresh
+        return shift
+
     @staticmethod
     def _max_shift(
         updated: np.ndarray, previous: np.ndarray, rows: np.ndarray | None
@@ -950,3 +1187,208 @@ class RetroSolver:
             updated = updated.copy()
             updated[bad] = previous[bad]
         return updated
+
+
+class ResidualBound:
+    """Certifies the incremental path's residual checks without full steps.
+
+    A check asks which rows one more full Jacobi step would move by more
+    than ``tolerance`` of their norm (:meth:`RetroSolver.residual_shift`).
+    The bound answers it while evaluating only a few rows.  For every row
+    ``i`` it carries, from the row's last exact evaluation, the residual
+    ``rho[i]``, the norm ``unorm[i]`` of its step numerator ``u_i`` and its
+    own norm, plus ``drift[i]``, an upper bound on how far ``u_i`` has
+    moved since.  A row that moves is evaluated exactly, so its own vector
+    is the one of its last evaluation.  The drift adds, per change:
+
+    * ``Γ·‖ΔW‖`` over the moved rows, with ``Γ`` the symmetric γ matrix
+      (it dominates the directed one entrywise); RO adds ``C = Σ c_r·A_r``;
+    * ``w_r[i]·‖ΔT_r‖`` for relation ``r``'s fresh target sums, with
+      ``w_r`` its dissimilarity weight (``δ_r`` in RN, ``c_r`` in RO);
+    * ``|Δw_r[i]|·‖T_r‖`` when a relation's weights move (RO adds
+      ``|Δc_r|·od_r(i)·max‖W‖``, and ``|ΔΓ_ij|·‖W_j‖`` on patched γ rows);
+    * ``β_i·‖Δc_i‖`` for a category that gained values.
+
+    An RN step is ``u/‖u‖``, which moves by at most ``2·drift/‖u‖``; an RO
+    step is ``u/den``, which moves by at most ``drift/|den'| +
+    ‖u‖·|1/den' − 1/den|``.  A row whose resulting bound stays at or below
+    ``tolerance·(1 − 1e-9)`` cannot be an offender.  Every other row — the
+    moved rows, the delta's endpoints and new rows, and rows whose bound
+    ran out — is evaluated with :meth:`RetroSolver.full_step`'s row
+    arithmetic, so the offender set equals the full check's.  A fresh
+    state evaluates every row once.
+    """
+
+    #: Relative slack between a certified bound and the tolerance; it
+    #: absorbs the rounding of the bound's own arithmetic.
+    MARGIN = 1e-9
+
+    def __init__(self, method: str) -> None:
+        self.method = "RO" if method in ("optimization", "ro", "RO") else "RN"
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every row: the next check evaluates all of them."""
+        self._rho: np.ndarray | None = None
+        self._unorm = self._wnorm = self._drift = self._den = None
+        self._sums: np.ndarray | None = None  # per relation, at the last check
+        self._must: list[np.ndarray] = []
+        #: Rows evaluated exactly at each check of the current version.
+        self.evaluated: list[int] = []
+
+    def rebase(self, previous: RetroSolver, solver: RetroSolver, matrix: np.ndarray) -> None:
+        """Carry the state over ``previous.advance(...) → solver``.
+
+        ``matrix`` is the new version's starting matrix.  The changed rows
+        are evaluated at the next check; weight moves on the other rows are
+        folded into their drift.
+        """
+        self.evaluated = []
+        if self._rho is None:
+            return
+        n_old, n = previous.n_values, solver.n_values
+        grow = n - n_old
+        self._rho = np.concatenate([self._rho, np.full(grow, np.inf)])
+        self._unorm = np.concatenate([self._unorm, np.zeros(grow)])
+        self._wnorm = np.concatenate([self._wnorm, np.ones(grow)])
+        self._drift = np.concatenate([self._drift, np.zeros(grow)])
+        if self._den is not None:
+            self._den = np.concatenate([self._den, np.ones(grow)])
+        self._must.append(solver.changed_rows)
+        totals = np.linalg.norm(self._sums, axis=1)
+        drift = self._drift
+        if self.method == "RN":
+            # δ_r[i] = δ / (n_targets(r)·(|R_i| + 1)) moves off the changed
+            # rows only where a relation's target count did
+            for index, (old, new) in enumerate(zip(previous.directed, solver.directed)):
+                if old is new or not totals[index]:
+                    continue
+                at = np.searchsorted(new.source_indices, old.source_indices)
+                moved = np.abs(
+                    solver.weights.delta_rn_source[index][at]
+                    - previous.weights.delta_rn_source[index]
+                )
+                drift[old.source_indices] += moved * totals[index]
+        else:
+            norms = np.linalg.norm(matrix, axis=1)
+            largest = float(norms.max(initial=0.0))
+            for index, old in enumerate(previous.directed):
+                change = abs(
+                    solver._delta_pair_constants[index]
+                    - previous._delta_pair_constants[index]
+                )
+                if change:
+                    drift[old.source_indices] += change * (
+                        totals[index] + old.out_degree_counts * largest
+                    )
+            rows = solver.patched_rows[solver.patched_rows < n_old]
+            if rows.size:
+                moved = (
+                    solver._gamma_matrix_symmetric[rows][:, :n_old]
+                    - previous._gamma_matrix_symmetric[rows]
+                )
+                drift[rows] += abs(moved) @ norms[:n_old]
+        if solver.hyperparams.beta > 0:
+            old_categories = previous.extraction.categories
+            for category, members in solver.extraction.categories.items():
+                before = old_categories.get(category, [])
+                if len(members) == len(before) or not before:
+                    continue
+                shift = np.linalg.norm(
+                    _centroid(solver.base_matrix, members)
+                    - _centroid(previous.base_matrix, before)
+                )
+                drift[before] += solver.weights.beta_vec[before] * shift
+
+    def offenders(
+        self,
+        solver: RetroSolver,
+        matrix: np.ndarray,
+        tolerance: float,
+        moved: np.ndarray | None = None,
+        before: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The rows whose residual exceeds ``tolerance``, ascending.
+
+        ``moved`` are the rows that changed since the last check and
+        ``before`` their values then.  Equals ``np.nonzero(
+        solver.residual_shift(matrix) > tolerance)[0]``.
+        """
+        used = solver._used_relations(self.method)
+        groups, stack_rows = solver._target_groups(used)
+        group_sums = solver._group_sums(matrix, groups)
+        targets = group_sums[stack_rows]
+        sums = np.zeros((len(solver.directed), matrix.shape[1]))
+        sums[used] = targets
+        if self._rho is None or self._rho.size != solver.n_values:
+            rows = np.arange(solver.n_values)
+            stepped, unorm = solver._step(matrix, self.method, None, targets)
+            current = matrix
+            self._drift = np.zeros(solver.n_values)
+            self._rho = np.zeros(solver.n_values)
+            self._unorm = np.zeros(solver.n_values)
+            self._wnorm = np.ones(solver.n_values)
+            if self.method == "RO":
+                self._den = np.ones(solver.n_values)
+        else:
+            self._accumulate(solver, matrix, sums, used, moved, before)
+            rows = np.union1d(
+                np.concatenate(self._must + [np.asarray(
+                    [] if moved is None else moved, dtype=np.int64
+                )]),
+                np.nonzero(~self._certified(solver, tolerance))[0],
+            ).astype(np.int64)
+            stepped, unorm = solver._step(matrix, self.method, rows, targets)
+            current = matrix[rows]
+        norms = np.linalg.norm(current, axis=1)
+        safe = np.where(norms < _EPSILON, 1.0, norms)
+        residual = np.linalg.norm(stepped - current, axis=1) / safe
+        self._rho[rows] = residual
+        self._unorm[rows] = unorm
+        self._wnorm[rows] = safe
+        self._drift[rows] = 0.0
+        if self.method == "RO":
+            self._den[rows] = solver._cached_ro_denominator()[rows]
+        self._sums = sums
+        self._must = []
+        self.evaluated.append(int(rows.size))
+        return rows[residual > tolerance]
+
+    def _accumulate(self, solver, matrix, sums, used, moved, before) -> None:
+        """Fold the changes since the last check into every row's drift."""
+        drift = self._drift
+        shifts = np.linalg.norm(sums - self._sums, axis=1)[used]
+        if shifts.any():
+            drift += solver._weight_rows(self.method, None).T @ shifts
+        if moved is None or not moved.size:
+            return
+        steps = np.zeros(solver.n_values)
+        steps[moved] = np.linalg.norm(matrix[moved] - before, axis=1)
+        drift += solver._gamma_matrix_symmetric @ steps
+        if self.method == "RO" and solver._combined_ro is not None:
+            drift += solver._combined_ro @ steps
+
+    def _certified(self, solver: RetroSolver, tolerance: float) -> np.ndarray:
+        """Rows whose bound keeps them at or below the tolerance."""
+        drift = self._drift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.method == "RN":
+                scale = self._unorm * self._wnorm
+                usable = np.isfinite(scale) & (drift <= 0.5 * self._unorm)
+                growth = np.where(drift > 0, 2.0 * drift / scale, 0.0)
+            else:
+                live = solver._cached_ro_denominator()
+                usable = np.isfinite(self._unorm)
+                growth = (
+                    drift / np.abs(live)
+                    + self._unorm * np.abs(1.0 / live - 1.0 / self._den)
+                ) / self._wnorm
+        bound = self._rho + np.where(usable, growth, np.inf)
+        return bound <= tolerance * (1.0 - self.MARGIN)
+
+
+def _centroid(base_matrix: np.ndarray, members) -> np.ndarray:
+    """One category's centroid, as :func:`category_centroids` computes it."""
+    rows = base_matrix[members]
+    non_zero = ~np.all(rows == 0.0, axis=1)
+    return (rows[non_zero] if non_zero.any() else rows).mean(axis=0)

@@ -512,7 +512,7 @@ def _applier_worker(
             degraded = f"{type(error).__name__}: {error}"
             return ("failed", degraded, True)
         version = store.latest_version(artifact)
-        return ("applied", version)
+        return ("applied", version, bool(update.report.converged))
 
     _serve(conn, parent_pid, {
         "apply": apply,
@@ -538,6 +538,10 @@ class _Handle:
         self.lock = threading.Lock()
         self.alive = False
         self.respawning = False
+        # after a respawn gave up: how often in a row, and when the
+        # heartbeat tries again (None while nothing is pending)
+        self.respawn_failures = 0
+        self.retry_at: float | None = None
         self.version = 0  # last position learned from a reply/heartbeat
         self.missed_heartbeats = 0
         self._next_request = 0
@@ -580,6 +584,13 @@ class ReplicatedTierStats:
     writes_applied: int
     write_failures: int
     writes_rate_limited: int
+    #: Acked writes whose refinement rounds ran out with rows still over
+    #: the residual tolerance (``SolverReport.converged`` was ``False``).
+    writes_uncertified: int
+
+
+class _Stopping(Exception):
+    """A respawn attempt found the tier stopping."""
 
 
 def _merge(answers: list, k: int) -> list[list[tuple[str, str, float]]]:
@@ -700,6 +711,7 @@ class ReplicatedServingTier:
         self._db_lock = threading.Lock()
         self._failover_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()
+        self._respawns: set[threading.Thread] = set()  # in flight
         self._started = False
         self._stopped = False
         self._version = 0  # newest log version a read must reflect
@@ -714,6 +726,7 @@ class ReplicatedServingTier:
         self._n_failovers = 0
         self._last_failover_seconds: float | None = None
         self._writes_applied = 0
+        self._writes_uncertified = 0
         self._write_failures = 0
         self._rate_limited = 0
         self._events = EventLog("replicated")
@@ -830,7 +843,13 @@ class ReplicatedServingTier:
             )
             for ticket in self._queue.drain_tickets():
                 ticket._fail(error)
-        self._stopped = True
+        # no respawn starts after this; the ones in flight finish (or give
+        # up) before the pipes close, so each pipe is closed once, here
+        with self._lifecycle_lock:
+            self._stopped = True
+            respawns = list(self._respawns)
+        for thread in respawns:
+            thread.join(timeout)
         handles = self._workers()
         if self._primary is not None:
             handles.append(self._primary)
@@ -914,33 +933,48 @@ class ReplicatedServingTier:
             role="primary" if handle.is_primary else "follower",
             reason="pipe broken or heartbeat lost",
         )
-        if handle.is_primary:
-            return
+        if not handle.is_primary:
+            self._start_respawn(handle)
+
+    def _start_respawn(self, handle: _Handle) -> None:
+        """Respawn a worker on a thread of its own, unless one is already
+        running or the tier is stopping."""
         with self._lifecycle_lock:
             if handle.respawning or self._stopped:
                 return
             handle.respawning = True
+            handle.retry_at = None
+            thread = threading.Thread(
+                target=self._respawn_worker, args=(handle,),
+                name=f"respawn-{handle.name.replace(' ', '-')}", daemon=True,
+            )
+            self._respawns.add(thread)
         self._n_respawns += 1
-        threading.Thread(
-            target=self._respawn_worker, args=(handle,),
-            name=f"respawn-{handle.name.replace(' ', '-')}", daemon=True,
-        ).start()
+        thread.start()
 
     def _respawn_once(self, handle: _Handle) -> None:
         """One respawn attempt (retried by :data:`_RESPAWN_RETRY`)."""
         if faults.should_fail_spawn("repl.respawn"):
             raise ServingError(f"injected spawn failure for {handle.name}")
-        self._spawn_worker(handle)
+        # forking under the lifecycle lock: stop() either sees the new
+        # process or no new process starts
+        with self._lifecycle_lock:
+            if self._stopped:
+                raise _Stopping()
+            # the dead process, or an attempt that never came up
+            self._terminate(handle)
+            if handle.conn is not None:
+                handle.conn.close()
+            self._spawn_worker(handle)
         self._await_ready(handle, self._query_timeout)
 
     def _respawn_worker(self, handle: _Handle) -> None:
         try:
-            self._terminate(handle)
-            if handle.conn is not None:
-                handle.conn.close()
             _RESPAWN_RETRY.call(
                 lambda: self._respawn_once(handle),
                 retry_on=(ServingError, OSError),
+                # stop() wakes a backoff at once
+                sleep=self._heartbeat_stop.wait,
                 on_retry=lambda attempt, error, delay: self._events.emit(
                     "follower_respawn_retry",
                     shard=handle.shard_id,
@@ -950,17 +984,23 @@ class ReplicatedServingTier:
                     backoff_s=round(delay, 4),
                 ),
             )
-            if self._stopped:  # stop() ran while this respawn was in flight
-                self._terminate(handle)
-                handle.conn.close()
+            if self._stopped:  # stop() owns the new process and its pipe
                 return
+            handle.respawn_failures = 0
             self._events.emit(
                 "follower_respawned",
                 shard=handle.shard_id,
                 replica=handle.replica_id,
             )
+        except _Stopping:
+            pass
         except Exception as error:
-            handle.alive = False  # stays degraded; the next crash retries
+            # stays degraded until the heartbeat retries, with backoff
+            handle.alive = False
+            handle.respawn_failures += 1
+            handle.retry_at = time.monotonic() + _RESPAWN_RETRY.backoff_cap(
+                handle.respawn_failures
+            )
             self._events.emit(
                 "follower_respawn_failed",
                 shard=handle.shard_id,
@@ -970,6 +1010,7 @@ class ReplicatedServingTier:
         finally:
             with self._lifecycle_lock:
                 handle.respawning = False
+                self._respawns.discard(threading.current_thread())
 
     @staticmethod
     def _terminate(handle: _Handle) -> None:
@@ -991,6 +1032,12 @@ class ReplicatedServingTier:
             for handle in handles:
                 if self._stopped:
                     return
+                if (
+                    not handle.alive and not handle.respawning
+                    and handle.retry_at is not None
+                    and time.monotonic() >= handle.retry_at
+                ):
+                    self._start_respawn(handle)  # an earlier respawn gave up
                 if handle.respawning or not handle.alive:
                     continue
                 if handle.process is None or not handle.process.is_alive():
@@ -1184,7 +1231,7 @@ class ReplicatedServingTier:
                     return
                 continue  # provably not in the log: retry once, respawned
             if reply[0] == "applied":
-                self._complete_batch(batch, int(reply[2]))
+                self._complete_batch(batch, int(reply[2]), certified=bool(reply[3]))
                 return
             _, _, message, degraded = reply
             if degraded:
@@ -1202,7 +1249,9 @@ class ReplicatedServingTier:
             ServingError("primary died twice while applying one delta"),
         )
 
-    def _complete_batch(self, batch, version: int, mirror: bool = True) -> None:
+    def _complete_batch(
+        self, batch, version: int, mirror: bool = True, certified: bool = True
+    ) -> None:
         # mirror the acked delta into the front's database copy *before*
         # tickets resolve: a primary respawned after this write must
         # start from a mirror that includes it
@@ -1210,6 +1259,9 @@ class ReplicatedServingTier:
             with self._db_lock:
                 batch.delta.apply_to(self._database)
             self._writes_applied += 1
+        if not certified:
+            self._writes_uncertified += 1
+            self._events.emit("write_uncertified", version=version)
         self._advance(version)
         now = time.perf_counter()
         for ticket in batch.tickets:
@@ -1581,4 +1633,5 @@ class ReplicatedServingTier:
             writes_applied=self._writes_applied,
             write_failures=self._write_failures,
             writes_rate_limited=self._rate_limited,
+            writes_uncertified=self._writes_uncertified,
         )

@@ -482,3 +482,100 @@ class TestFailover:
                 time.sleep(0.05)
             assert tier.stats.follower_respawns == 1
             assert tier.topk_batch(queries, 8) == want
+
+
+def _events(tier, name):
+    return [event for event in tier.recent_events(256) if event["event"] == name]
+
+
+def _wait_for(condition, seconds, what):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.02)
+
+
+@pytest.mark.stress
+class TestRespawnLifecycle:
+    def test_stop_during_a_respawn_backoff_leaves_nothing_running(self, int_corpus):
+        import threading
+
+        from repro.util import faults
+
+        store, _, _ = int_corpus
+        faults.install_fault_plan(
+            faults.FaultPlan([faults.FaultPoint("repl.respawn", "fail_spawn", hits=2)])
+        )
+        try:
+            tier = ReplicatedServingTier(
+                store.root, "int", n_replicas=2, heartbeat_interval=0.05
+            ).start()
+            victim = tier._grid[0][0]
+            os.kill(victim.process.pid, signal.SIGKILL)
+            _wait_for(
+                lambda: _events(tier, "follower_respawn_retry"), 10.0,
+                "the respawn never backed off",
+            )
+            tier.stop()
+        finally:
+            faults.clear_fault_plan()
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("respawn-") and thread.is_alive()
+        ]
+        assert not [
+            handle.name for shard in tier._grid for handle in shard
+            if handle.process is not None and handle.process.is_alive()
+        ]
+
+    def test_a_given_up_respawn_is_retried(self, int_corpus):
+        from repro.util import faults
+
+        store, session, queries = int_corpus
+        faults.install_fault_plan(
+            faults.FaultPlan([faults.FaultPoint("repl.respawn", "fail_spawn", hits=3)])
+        )
+        try:
+            with ReplicatedServingTier(
+                store.root, "int", n_replicas=2, heartbeat_interval=0.05
+            ) as tier:
+                victim = tier._grid[0][1]
+                os.kill(victim.process.pid, signal.SIGKILL)
+                _wait_for(
+                    lambda: _events(tier, "follower_respawn_failed"), 10.0,
+                    "the respawn never gave up",
+                )
+                _wait_for(
+                    lambda: tier.stats.live_followers == 2
+                    and _events(tier, "follower_respawned"),
+                    10.0, "the follower never came back",
+                )
+                names = [event["event"] for event in tier.recent_events(256)]
+                assert "follower_respawn_failed" in names
+                assert names.index("follower_respawn_failed") < names.index(
+                    "follower_respawned"
+                )
+                assert tier.topk_batch(queries, 8) == session.topk_batch(queries, 8)
+        finally:
+            faults.clear_fault_plan()
+
+
+class TestUncertifiedWrites:
+    def test_every_write_over_an_unreachable_tolerance_is_counted(self, stream):
+        dataset, retrofitter, store, _ = stream
+        # one round cannot reach every row over 1e-9 (four can, on a
+        # corpus this small)
+        retrofitter._residual_tolerance = 1e-9
+        retrofitter.MAX_REFINEMENT_ROUNDS = 1
+        with ReplicatedServingTier(
+            store.root, "rn", n_replicas=1, retrofitter=retrofitter,
+            database=dataset.database,
+        ) as tier:
+            versions = [
+                tier.submit(make_delta(dataset, key)).wait(timeout=60.0)
+                for key in (1, 3)
+            ]
+            stats = tier.stats
+            assert stats.writes_applied == 2
+            assert stats.writes_uncertified == stats.writes_applied
+            assert [event["version"] for event in _events(tier, "write_uncertified")] == versions
