@@ -40,6 +40,8 @@ def main() -> None:
     with ServingRuntime(
         dataset.database, retrofitter, solve_iterations=200
     ) as runtime:
+        # an idle front runs a read at once; behind a busy one, reads wait
+        # at most window_seconds to share the next batch
         with BatchedQueryFront(runtime, window_seconds=0.002) as front:
             # a few reader threads hammering the index through the front
             matrix = result.embeddings.matrix.copy()

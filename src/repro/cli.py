@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-ms",
         type=float,
         default=2.0,
-        help="query-coalescing window in milliseconds (default: 2.0)",
+        help="longest a read waits to share a batch, in milliseconds; an "
+        "idle front dispatches a waiting read at once (default: 2.0)",
     )
     serve_parser.add_argument(
         "--max-batch",

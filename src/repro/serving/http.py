@@ -41,14 +41,17 @@ or unknown token is 401, a known token without the needed scope is 403,
 and health is never gated — the balancer probing a front must not need
 credentials.  ``ssl_context`` wraps the listener in TLS.
 
-Concurrent reads are coalesced :class:`BatchedQueryFront`-style, but
-natively on the event loop: requests arriving within ``window_seconds``
-are grouped by ``(k, category)``, stacked into one matrix and dispatched
-as a single ``topk_batch`` call on an executor thread (the event loop
-never blocks on the index or the solver).  Per-client token buckets
-(reusing :class:`~repro.serving.runtime.RateLimiter`) reject over-budget
-callers with ``429`` *before* their request joins a batch or the write
-queue — one hot client degrades itself, not the pool.
+Concurrent reads are coalesced by the same
+:class:`~repro.serving.batching.BatchingCore` as
+:class:`~repro.serving.runtime.BatchedQueryFront`: a read that finds no
+dispatch in flight goes to the target at once; reads arriving while one
+is in flight are grouped by ``(k, category)`` and dispatched together
+when it returns (or at ``max_batch``, or after ``window_seconds``), as
+one ``topk_batch`` call on an executor thread (the event loop never
+blocks on the index or the solver).  Per-client token buckets (reusing
+:class:`~repro.serving.runtime.RateLimiter`) reject over-budget callers
+with ``429`` *before* their request joins a batch or the write queue —
+one hot client degrades itself, not the pool.
 
 The server runs on a dedicated thread with its own event loop, so it
 composes with the synchronous tiers and tests without an async caller.
@@ -75,6 +78,7 @@ from repro.errors import (
     ServingError,
     WriteDegradedError,
 )
+from repro.serving.batching import BatchingCore
 from repro.serving.runtime import RateLimiter
 from repro.util import EventLog, faults
 
@@ -151,13 +155,15 @@ class HTTPFrontStats:
     submits: int = 0
     submit_rejected: int = 0
     auth_failures: int = 0
+    #: reads that reached a batch; ``requests`` also counts rejected ones
+    requests_dispatched: int = 0
 
     @property
     def mean_batch_size(self) -> float:
         """Average number of /topk requests served per index query."""
         if not self.batches_dispatched:
             return 0.0
-        return self.requests / self.batches_dispatched
+        return self.requests_dispatched / self.batches_dispatched
 
 
 class HTTPServingFront:
@@ -180,6 +186,11 @@ class HTTPServingFront:
     ``"write"``, or any iterable of those); ``None`` disables auth.
     ``ssl_context`` serves TLS.  ``port=0`` binds an ephemeral port;
     read :attr:`port` after :meth:`start`.
+
+    A read that finds no batch in flight is dispatched at once;
+    ``window_seconds`` is the longest a read waits behind a busy target
+    to share a batch, and ``max_batch`` caps a batch
+    (:class:`~repro.serving.batching.BatchingCore`).
     """
 
     def __init__(
@@ -200,14 +211,13 @@ class HTTPServingFront:
         ssl_context: ssl_module.SSLContext | None = None,
         log_stream=None,
     ) -> None:
-        if max_batch < 1:
-            raise ServingError("max_batch must be at least 1")
+        self._batcher = BatchingCore(
+            self._dispatch_batch, self._call_later, window_seconds, max_batch
+        )
         self._target = target
         self._dimension = getattr(target, "dimension", None)
         self._host = host
         self._requested_port = int(port)
-        self._window = float(window_seconds)
-        self._max_batch = int(max_batch)
         self._rate_per_second = rate_per_second
         self._burst = burst
         self._max_body_bytes = int(max_body_bytes)
@@ -228,18 +238,13 @@ class HTTPServingFront:
         self._busy: set[asyncio.Task] = set()
         self._draining = False
         self._drained_clean: bool | None = None
-        self._pending: dict[
-            tuple[int, str | None], list[tuple[np.ndarray, int | None, asyncio.Future]]
-        ] = {}
-        # only the event-loop thread touches _pending; the limiter map is
-        # guarded by its own lock only because stats read it from outside
+        # the limiter map is guarded by its own lock only because stats
+        # read it from outside the event-loop thread
         self._limiters: dict[str, RateLimiter] = {}
         self._limiter_lock = threading.Lock()
 
         self._n_requests = 0
         self._n_rate_limited = 0
-        self._n_batches = 0
-        self._largest_batch = 0
         self._n_read_timeouts = 0
         self._n_submits = 0
         self._n_submit_rejected = 0
@@ -335,8 +340,7 @@ class HTTPServingFront:
             self._draining = True
             server.close()
             await server.wait_closed()
-            for key in list(self._pending):
-                self._flush_bucket(key)
+            self._batcher.flush()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self._drain_seconds
             while self._busy and loop.time() < deadline:
@@ -806,37 +810,21 @@ class HTTPServingFront:
             ) from None
 
     # ------------------------------------------------------------------ #
-    # batching
+    # batching (the policy lives in BatchingCore; every call below runs on
+    # the event-loop thread)
     # ------------------------------------------------------------------ #
     async def _submit_query(self, vector, k, category, min_version):
-        """Join the ``(k, category)`` batch forming this window."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = (k, category)
-        bucket = self._pending.get(key)
-        if bucket is None:
-            self._pending[key] = bucket = []
-            loop.call_later(self._window, self._flush_bucket, key)
-        bucket.append((vector, min_version, future))
-        if len(bucket) >= self._max_batch:
-            self._flush_bucket(key)
+        """Dispatch now if idle, else join the ``(k, category)`` bucket."""
+        future = asyncio.get_running_loop().create_future()
+        self._batcher.submit((k, category), vector, min_version, future)
         return await future
 
-    def _flush_bucket(self, key) -> None:
-        bucket = self._pending.pop(key, None)
-        if not bucket:
-            return  # already flushed early by the max_batch trigger
-        self._n_batches += 1
-        self._largest_batch = max(self._largest_batch, len(bucket))
-        vectors = np.stack([vector for vector, _, _ in bucket])
-        floors = [m for _, m, _ in bucket if m is not None]
-        # the merged batch reads at the *newest* requested floor: versions
-        # are monotonic, so a co-batched client only ever sees a fresher
-        # snapshot than it asked for, never a staler one
-        min_version = max(floors) if floors else None
+    def _call_later(self, delay: float, callback) -> None:
+        self._loop.call_later(delay, callback)
+
+    def _dispatch_batch(self, key, vectors, min_version, futures) -> None:
         k, category = key
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(
+        task = self._loop.run_in_executor(
             None, self._execute, vectors, k, category, min_version
         )
 
@@ -844,18 +832,21 @@ class HTTPServingFront:
             try:
                 version, results = done.result()
             except BaseException as error:  # noqa: BLE001 - per-future fanout
-                for _, _, future in bucket:
+                for future in futures:
                     if not future.done():
                         future.set_exception(error)
-                return
-            for (_, _, future), result in zip(bucket, results):
-                if not future.done():
-                    future.set_result((version, result))
+            else:
+                for future, result in zip(futures, results):
+                    if not future.done():
+                        future.set_result((version, result))
+            finally:
+                self._batcher.done()
 
         task.add_done_callback(_distribute)
 
     def _execute(self, vectors, k, category, min_version):
         """Blocking tier call, off the event loop (executor thread)."""
+        vectors = np.stack(vectors)
         target = self._target
         if hasattr(target, "topk_batch_versioned"):
             version, results = target.topk_batch_versioned(
@@ -871,16 +862,18 @@ class HTTPServingFront:
     @property
     def stats(self) -> HTTPFrontStats:
         """Request/batching counters of this front."""
+        batches, dispatched, largest = self._batcher.counts()
         return HTTPFrontStats(
             requests=self._n_requests,
             rate_limited=self._n_rate_limited,
-            batches_dispatched=self._n_batches,
-            largest_batch=self._largest_batch,
+            batches_dispatched=batches,
+            largest_batch=largest,
             read_timeouts=self._n_read_timeouts,
             drained_clean=self._drained_clean,
             submits=self._n_submits,
             submit_rejected=self._n_submit_rejected,
             auth_failures=self._n_auth_failures,
+            requests_dispatched=dispatched,
         )
 
     def recent_events(self, n: int = 50) -> list[dict]:

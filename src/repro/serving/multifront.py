@@ -54,6 +54,7 @@ _SUMMED_FIELDS = (
     "requests",
     "rate_limited",
     "batches_dispatched",
+    "requests_dispatched",
     "read_timeouts",
     "submits",
     "submit_rejected",

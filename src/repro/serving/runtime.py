@@ -23,10 +23,12 @@ on top:
   mutated (caught up to become the next standby) once every reader that
   could still see it has left its epoch — epoch-based reclamation of old
   index versions.
-* :class:`BatchedQueryFront` — gathers concurrent ``top_k`` requests
-  within a small window into one matrix query against the index (the
-  batched kernels make a 64-query batch barely more expensive than a
-  single query) and completes one future per request.
+* :class:`BatchedQueryFront` — runs a blocking ``top_k`` request at
+  once when nothing is in flight, and gathers the requests that arrive
+  while a batch runs (or that a pipelining caller submits within a small
+  window) into one matrix query against the index (the batched kernels
+  make a 64-query batch barely more expensive than a single query); it
+  completes one future per request.
 
 The GIL makes the single reference read/write of the published snapshot
 atomic; the epoch protocol is what keeps the *contents* of a snapshot
@@ -35,10 +37,12 @@ immutable while anyone reads it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -48,6 +52,7 @@ from repro.db.database import Database
 from repro.db.delta import DatabaseDelta
 from repro.errors import BackpressureError, ServingError, WriteDegradedError
 from repro.retrofit.incremental import IncrementalRetrofitter
+from repro.serving.batching import BatchingCore
 from repro.serving.session import IndexFactory, ServingSession
 from repro.util import faults
 
@@ -856,16 +861,6 @@ class ServingRuntime:
 # --------------------------------------------------------------------- #
 # query coalescing
 # --------------------------------------------------------------------- #
-class _QueryRequest:
-    __slots__ = ("vector", "k", "category", "future")
-
-    def __init__(self, vector, k, category, future):
-        self.vector = vector
-        self.k = k
-        self.category = category
-        self.future = future
-
-
 @dataclass(frozen=True)
 class FrontStats:
     """Counters of one :class:`BatchedQueryFront`."""
@@ -873,24 +868,73 @@ class FrontStats:
     requests: int
     batches_dispatched: int
     largest_batch: int
+    requests_dispatched: int = 0
 
     @property
     def mean_batch_size(self) -> float:
         """Average number of requests served per index query."""
         if not self.batches_dispatched:
             return 0.0
-        return self.requests / self.batches_dispatched
+        return self.requests_dispatched / self.batches_dispatched
+
+
+class _Timers:
+    """``call_later`` for a thread-based front: one daemon thread runs
+    each callback once its delay has passed."""
+
+    def __init__(self, name: str) -> None:
+        self._cond = threading.Condition()
+        self._heap: list[tuple[float, int, object]] = []
+        self._order = itertools.count()
+        self._closed = False
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread.start()
+
+    def call_later(self, delay: float, callback) -> None:
+        entry = (time.monotonic() + delay, next(self._order), callback)
+        with self._cond:
+            heapq.heappush(self._heap, entry)
+            if self._heap[0] is entry:  # else the thread wakes earlier anyway
+                self._cond.notify()
+
+    def close(self, timeout: float | None = None) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        self._thread.join(timeout)
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._closed:
+                    if self._heap:
+                        wait = self._heap[0][0] - time.monotonic()
+                        if wait <= 0:
+                            break
+                    else:
+                        wait = None
+                    self._cond.wait(wait)
+                if self._closed:
+                    return
+                _, _, callback = heapq.heappop(self._heap)
+            callback()
 
 
 class BatchedQueryFront:
     """Coalesce concurrent ``top_k`` requests into batched index queries.
 
-    Requests arriving within ``window_seconds`` of each other (up to
-    ``max_batch``) are grouped by ``(k, category)`` and executed as single
-    :meth:`ServingSession.topk_batch` calls against one pinned snapshot —
-    with the batched kernels, a full batch costs barely more than one
-    query.  Every caller gets a :class:`concurrent.futures.Future`;
-    :meth:`topk` is the blocking convenience wrapper.
+    The policy is :class:`~repro.serving.batching.BatchingCore`'s, shared
+    with the HTTP front.  A blocking :meth:`topk` that finds no batch in
+    flight runs at once; requests that arrive while one runs are grouped
+    by ``(k, category)`` and dispatched together when it returns, when a
+    group reaches ``max_batch``, or once its oldest request has waited
+    ``window_seconds``.  A pipelined :meth:`submit` — its caller may send
+    more before it waits — waits up to the window for company, so a deep
+    pipeline keeps full batches.  Each batch is one
+    :meth:`ServingSession.topk_batch` call against one pinned snapshot, on
+    a thread pool, so a group whose window ran out behind a slow batch
+    runs beside it; with the batched kernels a full batch costs barely
+    more than one query.
 
     ``target`` is a :class:`ServingRuntime` (requests of one dispatch see
     one consistent snapshot) or a bare :class:`ServingSession`.
@@ -902,22 +946,15 @@ class BatchedQueryFront:
         window_seconds: float = 0.002,
         max_batch: int = 64,
     ) -> None:
-        if max_batch < 1:
-            raise ServingError("max_batch must be at least 1")
         self._target = target
         self._dimension = getattr(target, "dimension", None)
-        self._window = float(window_seconds)
-        self._max_batch = int(max_batch)
-        self._cond = threading.Condition()
-        self._requests: deque[_QueryRequest] = deque()
-        self._closed = False
-        self._n_requests = 0
-        self._n_batches = 0
-        self._largest_batch = 0
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="batched-query-front", daemon=True
+        self._timers = _Timers("batched-query-window")
+        self._batcher = BatchingCore(
+            self._dispatch, self._timers.call_later, window_seconds, max_batch
         )
-        self._thread.start()
+        self._executor = ThreadPoolExecutor(thread_name_prefix="batched-query")
+        self._count_lock = threading.Lock()
+        self._n_requests = 0
 
     # ------------------------------------------------------------------ #
     # client side
@@ -925,26 +962,14 @@ class BatchedQueryFront:
     def submit(
         self, vector: np.ndarray, k: int = 10, category: str | None = None
     ) -> Future:
-        """Queue one top-k request; resolves to its result triples.
+        """Queue one pipelined top-k request; resolves to its result triples.
 
-        A malformed vector fails here, synchronously — it must never make
-        it into a batch, where one bad shape would poison the co-batched
-        requests' matrix build.
+        It waits up to ``window_seconds`` for company unless a batch
+        forms sooner.  A malformed vector fails here, synchronously — it
+        must never make it into a batch, where one bad shape would poison
+        the co-batched requests' matrix build.
         """
-        vector = np.asarray(vector, dtype=np.float64)
-        if self._dimension is not None and vector.shape != (self._dimension,):
-            raise ServingError(
-                f"query vector has shape {vector.shape}, "
-                f"expected ({self._dimension},)"
-            )
-        future: Future = Future()
-        with self._cond:
-            if self._closed:
-                raise ServingError("query front is closed")
-            self._requests.append(_QueryRequest(vector, int(k), category, future))
-            self._n_requests += 1
-            self._cond.notify()
-        return future
+        return self._enqueue(vector, k, category, caller_waits=False)
 
     def topk(
         self,
@@ -953,24 +978,40 @@ class BatchedQueryFront:
         category: str | None = None,
         timeout: float | None = None,
     ) -> list[tuple[str, str, float]]:
-        """Blocking :meth:`submit` — waits for the batched result."""
-        return self.submit(vector, k, category).result(timeout)
+        """Blocking top-k: dispatched at once when no batch is in flight."""
+        return self._enqueue(vector, k, category, caller_waits=True).result(timeout)
+
+    def _enqueue(self, vector, k, category, caller_waits: bool) -> Future:
+        vector = np.asarray(vector, dtype=np.float64)
+        if self._dimension is not None and vector.shape != (self._dimension,):
+            raise ServingError(
+                f"query vector has shape {vector.shape}, "
+                f"expected ({self._dimension},)"
+            )
+        future: Future = Future()
+        self._batcher.submit(
+            (int(k), category), vector, None, future, caller_waits=caller_waits
+        )
+        with self._count_lock:
+            self._n_requests += 1
+        return future
 
     @property
     def stats(self) -> FrontStats:
         """Batching effectiveness counters."""
+        batches, dispatched, largest = self._batcher.counts()
         return FrontStats(
             requests=self._n_requests,
-            batches_dispatched=self._n_batches,
-            largest_batch=self._largest_batch,
+            batches_dispatched=batches,
+            largest_batch=largest,
+            requests_dispatched=dispatched,
         )
 
     def close(self, timeout: float | None = None) -> None:
-        """Dispatch the remaining requests and stop the worker."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout)
+        """Dispatch the remaining requests and stop the worker threads."""
+        self._batcher.close(timeout)
+        self._timers.close(timeout)
+        self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "BatchedQueryFront":
         return self
@@ -979,46 +1020,30 @@ class BatchedQueryFront:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # dispatcher
+    # dispatch (one pool thread per batch)
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._requests and not self._closed:
-                    self._cond.wait()
-                if not self._requests and self._closed:
-                    return
-                # first request in hand: linger for the batching window
-                deadline = time.perf_counter() + self._window
-                while len(self._requests) < self._max_batch and not self._closed:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                count = min(len(self._requests), self._max_batch)
-                batch = [self._requests.popleft() for _ in range(count)]
-            self._dispatch(batch)
-
     def _pinned(self):
         if hasattr(self._target, "read"):
             return self._target.read()
         return nullcontext(self._target)
 
-    def _dispatch(self, batch: list[_QueryRequest]) -> None:
-        self._n_batches += 1
-        self._largest_batch = max(self._largest_batch, len(batch))
-        groups: dict[tuple[int, str | None], list[_QueryRequest]] = {}
-        for request in batch:
-            groups.setdefault((request.k, request.category), []).append(request)
-        with self._pinned() as session:
-            for (k, category), requests in groups.items():
-                try:
+    def _dispatch(self, key, vectors, min_version, futures) -> None:
+        self._executor.submit(self._run_batch, key, vectors, futures)
+
+    def _run_batch(self, key, vectors, futures) -> None:
+        k, category = key
+        try:
+            try:
+                with self._pinned() as session:
                     results = session.topk_batch(
-                        np.stack([r.vector for r in requests]), k, category=category
+                        np.stack(vectors), k, category=category
                     )
-                except Exception as error:
-                    for request in requests:
-                        request.future.set_exception(error)
-                    continue
-                for request, result in zip(requests, results):
-                    request.future.set_result(result)
+                outcomes = [(Future.set_result, result) for result in results]
+            except Exception as error:
+                outcomes = [(Future.set_exception, error)] * len(futures)
+            for future, (resolve, value) in zip(futures, outcomes):
+                # a caller may have cancelled its future while it waited
+                if future.set_running_or_notify_cancel():
+                    resolve(future, value)
+        finally:
+            self._batcher.done()

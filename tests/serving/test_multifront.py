@@ -7,6 +7,7 @@ that no acked write is ever lost.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -160,3 +161,32 @@ class TestFrontFailover:
                 )
                 assert again == acked[1]
                 assert tier.stats.log_version == log_before
+
+
+class TestKeepAliveThroughTheBalancer:
+    def test_one_client_reuses_one_connection(self, deployed):
+        deployment, queries = deployed
+        before = deployment.stats()["balancer"]["connections"]
+        with ServingClient(deployment.address) as client:
+            for i in range(12):
+                assert client.topk(queries[i % len(queries)], k=3)["version"] == 0
+        assert deployment.stats()["balancer"]["connections"] - before == 1
+
+    def test_a_client_shared_by_threads_keeps_answers_apart(self, deployed):
+        deployment, queries = deployed
+        with ServingClient(deployment.address) as reference:
+            expected = [reference.topk(query, k=3)["results"] for query in queries]
+        before = deployment.stats()["balancer"]["connections"]
+
+        def reader(offset):
+            rows = [(offset + i) % len(queries) for i in range(50)]
+            return [
+                row for row in rows
+                if client.topk(queries[row], k=3)["results"] != expected[row]
+            ]
+
+        with ServingClient(deployment.address) as client:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                wrong = list(pool.map(reader, range(4), timeout=120))
+        assert wrong == [[], [], [], []]
+        assert deployment.stats()["balancer"]["connections"] - before <= 4

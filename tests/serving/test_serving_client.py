@@ -6,6 +6,7 @@ injection (backpressure once, then success) is deterministic.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -179,3 +180,21 @@ class TestAuthAndHealth:
         client = ServingClient(front.address)
         with pytest.raises(Exception, match="DatabaseDelta"):
             client.submit(["not", "a", "delta"])
+
+
+class TestKeepAlive:
+    def test_a_connection_the_server_closed_is_replaced_once(self):
+        # the front cuts idle keep-alive connections after 0.2 s; the
+        # client's pooled connection is stale by its second call, and with
+        # one attempt only the stale-connection re-send can save the call
+        with HTTPServingFront(
+            _RecordingTarget(), window_seconds=0.0, read_timeout_seconds=0.2
+        ) as front:
+            with ServingClient(
+                front.address, retry=RetryPolicy(attempts=1)
+            ) as client:
+                assert client.topk(VECTOR)["version"] == 0
+                time.sleep(0.5)
+                assert client.topk(VECTOR)["version"] == 0
+            assert front.stats.read_timeouts == 1
+            assert front.stats.requests == 2
