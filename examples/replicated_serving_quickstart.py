@@ -10,9 +10,10 @@ it into full-corpus read replicas, and answer top-k queries.
 On top sits the network tier from this iteration:
 
 * a :class:`~repro.serving.MultiFrontDeployment` — two
-  :class:`~repro.serving.HTTPServingFront` *processes* sharing the one
-  replica pool behind a single connection-balancing address, with
-  bearer-token auth (per-token read/write scopes);
+  :class:`~repro.serving.HTTPServingFront` s, each running inside one
+  follower and answering reads from that follower's own replica, behind
+  a single address whose balancer hands each connection to one of them,
+  with bearer-token auth (per-token read/write scopes);
 * a :class:`~repro.serving.ServingClient` — the stdlib client: retried
   calls, idempotent write resubmission (one submission id across
   retries), and automatic read-your-writes floors (a reader that just
@@ -71,8 +72,9 @@ def main() -> None:
         store = EmbeddingStore(store_dir)
         store.save_embedding_set("model", result.embeddings)
 
-        # 3. serve: one primary + two follower processes, behind two
-        # balanced HTTP front processes speaking the /v1 API
+        # 3. serve: one primary + two follower processes; the deployment
+        # puts an HTTP front speaking the /v1 API inside each follower,
+        # behind one balanced address
         retrofitter = pipeline.incremental_retrofitter(result)
         tier = ReplicatedServingTier(
             store_dir,
@@ -85,11 +87,13 @@ def main() -> None:
         )
         with tier, MultiFrontDeployment(
             tier, n_fronts=2, front_options={"auth_tokens": TOKENS}
-        ) as deployment:
+        ) as deployment, ServingClient(
+            deployment.address, token="writer-key"
+        ) as writer, ServingClient(
+            deployment.address, token="reader-key"
+        ) as reader:
             print(f"serving reads on {tier.live_followers} followers")
             print(f"{deployment.live_fronts} fronts behind {deployment.address}")
-
-            writer = ServingClient(deployment.address, token="writer-key")
             print("health:", writer.health())
 
             # 4. write over the network: POST /v1/submit carries the
@@ -110,7 +114,8 @@ def main() -> None:
 
             # 5. read-your-writes: the client remembers its acked version
             # and floors every later read with it, so the new title is
-            # visible no matter which front or follower answers
+            # visible no matter which front answers (a read without a
+            # floor is also at or past the newest acked write)
             loaded, _, _ = store.load_embedding_set_versioned("model")
             query = loaded.vector_for("movies.title", "the meridian line")
             reply = writer.topk(query, k=3, category="movies.title")
@@ -120,7 +125,6 @@ def main() -> None:
                 print(f"  {score:+.3f}  {category}  {text!r}")
 
             # 6. scopes: the reader token may query but not write
-            reader = ServingClient(deployment.address, token="reader-key")
             reader.topk(query, k=1)
             try:
                 reader.submit(delta)

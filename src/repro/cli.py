@@ -254,10 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="additionally serve the replicated tier over HTTP through "
-        "this many front processes behind the connection balancer, with "
-        "write-over-HTTP steady/churn phases, read-your-writes and "
-        "duplicate-POST idempotency checks (requires --replicas; "
-        "default: 0 — skip the HTTP phases)",
+        "this many fronts, each inside one replica, behind the connection "
+        "balancer, with write-over-HTTP steady/churn phases, "
+        "read-your-writes and duplicate-POST idempotency checks (the "
+        "fronts run in the one-shard replicated tier, so this requires "
+        "--replicas N with N >= --fronts; default: 0 — skip the HTTP "
+        "phases)",
     )
     serve_parser.add_argument(
         "--cache-dir",

@@ -38,10 +38,10 @@ the next write).  The correctness half compares the followers'
 fully-replayed matrix against both the store's own log replay (exact)
 and a serial incremental retrofitter over the identical stream.
 
-With ``fronts >= 1`` (requires ``replicas >= 1``) the replicated tier is
-additionally served over the network: a
-:class:`~repro.serving.MultiFrontDeployment` runs that many HTTP front
-processes behind the connection balancer, and
+With ``fronts >= 1`` (requires ``replicas >= fronts``) the replicated
+tier is additionally served over the network: a
+:class:`~repro.serving.MultiFrontDeployment` runs that many HTTP fronts,
+each inside one replica, behind the connection balancer, and
 :class:`~repro.serving.ServingClient` readers/writers drive steady and
 churn phases entirely over ``/v1`` — writes POSTed as wire-form deltas
 with submission ids, each ack followed by a floored read (the
@@ -154,10 +154,10 @@ def run_serve_benchmark(
         raise ExperimentError("serve benchmark needs at least one reader")
     if corpus_scale < 1:
         raise ExperimentError("corpus_scale must be at least 1")
-    if fronts >= 1 and replicas < 1:
+    if fronts > replicas:
         raise ExperimentError(
-            "--fronts serves the replicated tier over HTTP; pass "
-            "--replicas N (>= 1) as well"
+            "--fronts serves the replicated tier over HTTP, one front per "
+            "replica; pass --replicas N with N >= --fronts as well"
         )
     from repro.experiments.engine import RunContext
 
@@ -542,6 +542,8 @@ def run_serve_benchmark(
                         sink.extend(local)
                     except BaseException as error:
                         http_errors.append(error)
+                    finally:
+                        client.close()
 
                 def run_http_phase(write_deltas=None):
                     latencies: list[float] = []
@@ -559,25 +561,26 @@ def run_serve_benchmark(
                     for thread in threads:
                         thread.start()
                     if write_deltas:
-                        writer = ServingClient(
+                        with ServingClient(
                             deployment.address,
                             token=bench_token,
                             client_id="writer",
                             timeout=630.0,
-                        )
-                        for index, delta in enumerate(write_deltas):
-                            sid = f"bench-http-{index}"
-                            version = writer.submit(
-                                delta, submission_id=sid
-                            )
-                            acked.append((sid, version))
-                            # the client floors this read at the ack it
-                            # just received: read-your-writes over HTTP,
-                            # through whichever front the balancer picks
-                            answered = writer.topk(probe_query, k)
-                            if int(answered["version"]) < version:
-                                violations += 1
-                            time.sleep(delta_interval_seconds)
+                        ) as writer:
+                            for index, delta in enumerate(write_deltas):
+                                sid = f"bench-http-{index}"
+                                version = writer.submit(
+                                    delta, submission_id=sid
+                                )
+                                acked.append((sid, version))
+                                # the client floors this read at the ack
+                                # it just received: read-your-writes over
+                                # HTTP, through whichever front the
+                                # balancer picks
+                                answered = writer.topk(probe_query, k)
+                                if int(answered["version"]) < version:
+                                    violations += 1
+                                time.sleep(delta_interval_seconds)
                     for thread in threads:
                         thread.join()
                     wall = time.perf_counter() - started
@@ -609,16 +612,16 @@ def run_serve_benchmark(
                     # across fronts because all writes funnel to the one
                     # primary queue
                     log_before = tier.stats.log_version
-                    dup_client = ServingClient(
+                    dup_sid, dup_version = http_acked[-1]
+                    with ServingClient(
                         deployment.address,
                         token=bench_token,
                         client_id="dup-writer",
                         timeout=630.0,
-                    )
-                    dup_sid, dup_version = http_acked[-1]
-                    dup_ack = dup_client.submit(
-                        http_deltas[-1], submission_id=dup_sid
-                    )
+                    ) as dup_client:
+                        dup_ack = dup_client.submit(
+                            http_deltas[-1], submission_id=dup_sid
+                        )
                     dedup_applied_once = (
                         dup_ack == dup_version
                         and tier.stats.log_version == log_before

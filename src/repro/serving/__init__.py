@@ -44,8 +44,9 @@ reads.  ``(N, 1)`` is a sharded tier, ``(1, R)`` a replicated one.
 per-client rate limits and read-your-writes routing on top.
 The front speaks the versioned ``/v1`` API — reads *and* idempotent
 delta writes (``POST /v1/submit``), bearer-token scopes, optional TLS —
-:class:`MultiFrontDeployment` runs N front processes over one replica
-pool behind a connection-balancing entry point, and
+:class:`MultiFrontDeployment` runs N fronts inside the replicas of a
+one-shard tier, each answering reads from its own replica, behind a
+balancer that hands each connection to one of them, and
 :class:`ServingClient` is the stdlib client with retries, resubmission
 ids and automatic read-your-writes floors.
 """

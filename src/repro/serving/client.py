@@ -10,8 +10,8 @@ Four behaviours make it production-shaped rather than a demo wrapper:
 
 * **Keep-alive.**  The client keeps a small pool of idle HTTP/1.1
   connections (RFC 9112 §9.3) and reuses them, so a call pays no TCP
-  handshake and, behind the deployment's balancer, no second connection
-  to a front.  A response carrying ``Connection: close`` (a draining
+  handshake and, behind the deployment's balancer, no new hand-off of
+  its connection to a front.  A response carrying ``Connection: close`` (a draining
   front, or HTTP/1.0) closes its connection.  A request that fails on a
   *reused* connection because the server had closed it
   (``RemoteDisconnected``, ``ConnectionResetError``,

@@ -55,6 +55,10 @@ one hot client degrades itself, not the pool.
 
 The server runs on a dedicated thread with its own event loop, so it
 composes with the synchronous tiers and tests without an async caller.
+A front also serves sockets accepted elsewhere
+(:meth:`~HTTPServingFront.adopt`), which is how a
+:class:`~repro.serving.multifront.MultiFrontDeployment` balancer hands
+it connections; TLS and keep-alive end at the front.
 """
 
 from __future__ import annotations
@@ -288,6 +292,32 @@ class HTTPServingFront:
 
     # ``stop`` is the tiers' shutdown verb; aliasing keeps callers uniform
     stop = close
+
+    def adopt(self, sock) -> None:
+        """Serve ``sock``, accepted elsewhere, like a connection to this
+        front's own port; thread-safe.  A stopped front closes it."""
+        loop = self._loop
+        try:
+            if loop is None or self._draining:
+                raise RuntimeError("front is not serving")
+            loop.call_soon_threadsafe(lambda: loop.create_task(self._adopt(sock)))
+        except RuntimeError:  # also: the loop closed meanwhile
+            sock.close()
+
+    async def _adopt(self, sock) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)  # shutdown cancels a pending handshake
+        try:
+            await asyncio.get_running_loop().connect_accepted_socket(
+                lambda: asyncio.StreamReaderProtocol(
+                    asyncio.StreamReader(), self._handle_connection
+                ),
+                sock, ssl=self._ssl_context,
+            )
+        except (OSError, asyncio.CancelledError):
+            sock.close()  # a failed TLS handshake or a reset peer
+        finally:
+            self._connections.discard(task)
 
     def _request_shutdown(self) -> None:
         if self._shutdown is not None:
@@ -610,7 +640,7 @@ class HTTPServingFront:
         recent = getattr(self._target, "recent_events", None)
         if callable(recent):
             payload["target_events"] = recent(50)
-        # a multi-front gateway target can aggregate the whole deployment
+        # a deployment front's target can aggregate the whole deployment
         aggregate = getattr(self._target, "deployment_stats", None)
         if callable(aggregate):
             try:
@@ -773,8 +803,8 @@ class HTTPServingFront:
     def _execute_submit(self, delta, submission_id: str) -> int:
         """Blocking submit + ticket wait, off the event loop."""
         target = self._target
-        # a gateway target (multi-front deployment) collapses submit and
-        # wait into one cross-process round trip
+        # a deployment front's target collapses submit and wait into one
+        # round trip to the parent process
         waiter = getattr(target, "submit_and_wait", None)
         if callable(waiter):
             try:

@@ -1,47 +1,49 @@
-"""N HTTP serving fronts over one replica pool, behind one entry point.
+"""N HTTP serving fronts inside a tier's replicas, behind one address.
 
-One :class:`~repro.serving.http.HTTPServingFront` is a single process:
-its event loop, its executor threads and its rate-limit map all live
-with the tier that owns the replica pipes.  :class:`MultiFrontDeployment`
-scales the *front* horizontally without duplicating the pool:
+:class:`MultiFrontDeployment` scales the HTTP layer of a started
+one-shard :class:`~repro.serving.replicated.ReplicatedServingTier`
+without adding a hop to a read:
 
-* N front **worker processes** are forked, each running a full
-  ``HTTPServingFront`` (own event loop, own batching window, own
-  per-client buckets) on an ephemeral port.  Inside a worker the front's
-  target is a :class:`_GatewayTarget` — a thin proxy that forwards tier
-  calls over pipes back to the parent, where the one true
-  :class:`~repro.serving.replicated.ReplicatedServingTier` lives.
-* Each worker gets **three pipes**: control (ready/stats/stop), query
-  (top-k, health, stats snapshots) and write (submit + ticket wait) —
-  a write stuck behind the solver never stalls that front's reads.
-* Writes from *any* front funnel through the parent into the primary's
-  idempotent :class:`~repro.serving.runtime.DeltaQueue`, so
-  ``submission_id`` dedup holds across fronts: a client may retry a
+* Front *i* runs inside the worker of replica *i*:
+  :meth:`~repro.serving.replicated.ReplicatedServingTier.host` forks that
+  worker afresh with the front on board, so the front inherits what
+  cannot be pickled (a TLS context).  A full
+  :class:`~repro.serving.http.HTTPServingFront` (own event loop, own
+  batching core, own per-client buckets) answers ``/v1/topk`` from the
+  worker's own rows: a read is parsed, scored and answered in one
+  process, at or past the tier's published version.
+* Each front keeps two pipes to the parent: one for writes (submit +
+  ticket wait), one for what only the parent knows (health, the tier's
+  stats and events, the deployment aggregate), so a write stuck behind
+  the solver never stalls health.  Writes from *any* front funnel into
+  the primary's idempotent :class:`~repro.serving.runtime.DeltaQueue`,
+  so ``submission_id`` dedup holds across fronts: a client may retry a
   write against a different front and it still applies exactly once.
-* A tiny **connection balancer** (asyncio TCP proxy on its own thread)
-  is the single advertised address: it round-robins new connections
-  across live fronts and skips dead ones, so killing a front loses only
-  the connections it was carrying — retried requests land on a
-  survivor.  TLS configured on the fronts passes through end-to-end.
+* The **balancer** is the one advertised address.  It accepts each
+  connection and hands the socket to the next live front (round-robin,
+  dead fronts skipped) over a Unix socket (``SCM_RIGHTS``), then closes
+  its own copy; the front serves it as one of its own, TLS included, so
+  the parent never carries a request's bytes.  Killing a front loses
+  only the connections it was carrying: retried requests land on a
+  survivor, and the tier respawns the replica as a plain follower.
 
+Every front also listens on a port of its own (:attr:`front_ports`).
 :meth:`stats` aggregates per-front counters (summed totals plus the
 per-front breakdown); a front's own ``/v1/stats`` exposes the same
-aggregate under ``"deployment"`` via the gateway.
+aggregate under ``"deployment"``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import multiprocessing
 import os
+import socket
 import threading
 
 from repro.errors import (
     BackpressureError,
-    ExtractionError,
-    IntegrityError,
-    SchemaError,
+    ReproError,
     ServingError,
     WriteDegradedError,
 )
@@ -62,205 +64,174 @@ _SUMMED_FIELDS = (
 )
 
 
-def _classify(error: BaseException) -> tuple[str, str, dict]:
-    """Flatten an exception into a picklable ``(kind, message, extras)``."""
-    if isinstance(error, BackpressureError):
-        return "backpressure", str(error), {"retry_after": error.retry_after}
-    if isinstance(error, WriteDegradedError):
-        return "degraded", str(error), {}
-    if isinstance(error, SchemaError):
-        return "schema", str(error), {}
-    if isinstance(error, IntegrityError):
-        return "integrity", str(error), {}
-    if isinstance(error, ExtractionError):
-        return "extraction", str(error), {}
-    if isinstance(error, ServingError):
-        return "serving", str(error), {}
-    return "internal", f"{type(error).__name__}: {error}", {}
+def _shippable(error: BaseException) -> BaseException:
+    """``error`` as the parent sends it to a front: the library's typed
+    errors pickle as they are, anything else becomes a ServingError."""
+    if isinstance(error, (ReproError, TimeoutError)):
+        return error
+    return ServingError(f"{type(error).__name__}: {error}")
 
 
-def _raise_gateway_error(kind: str, message: str, extras: dict) -> None:
-    """Worker side: rebuild the typed error the parent classified."""
-    if kind == "backpressure":
-        raise BackpressureError(
-            message, retry_after=float(extras.get("retry_after", 1.0))
-        )
-    if kind == "degraded":
-        raise WriteDegradedError(message)
-    if kind == "schema":
-        raise SchemaError(message)
-    if kind == "integrity":
-        raise IntegrityError(message)
-    if kind == "extraction":
-        raise ExtractionError(message)
-    if kind == "timeout":
-        raise TimeoutError(message)
-    raise ServingError(message)
+class _Front:
+    """Front *i*: the parent's bookkeeping, and the guest of replica *i*.
 
-
-class _GatewayTarget:
-    """The front's in-worker stand-in for the parent's tier.
-
-    Presents the same duck type :class:`HTTPServingFront` dispatches on
-    (``topk_batch_versioned``, ``submit_and_wait``, ``health_snapshot``,
-    ``stats``, ``recent_events``, ``deployment_stats``) but every call is
-    one locked request/reply round trip on a pipe answered by a parent
-    thread.  Queries and writes use separate pipes so they never queue
-    behind each other.
+    Built in the parent, which keeps one end of each channel: ``control``
+    (ready, stats, stop), ``writes``, ``info`` and ``handoff`` (accepted
+    sockets).  :meth:`start` and :meth:`close` run in the worker
+    (:meth:`~repro.serving.replicated.ReplicatedServingTier.host`), where
+    this object is also the :class:`HTTPServingFront`'s target: reads go
+    to the worker's own replica; a write, and each question only the
+    parent can answer, is one locked round trip on a pipe, writes on a
+    pipe of their own.
     """
 
-    def __init__(self, query_conn, write_conn, dimension, timeout: float) -> None:
-        self.dimension = dimension
-        self._query_conn = query_conn
-        self._write_conn = write_conn
-        self._query_lock = threading.Lock()
-        self._write_lock = threading.Lock()
-        self._timeout = float(timeout)
-        self._broken: str | None = None
-
-    def _roundtrip(self, conn, lock, message, timeout: float):
-        if self._broken is not None:
-            raise ServingError(f"gateway link broken: {self._broken}")
-        with lock:
-            conn.send(message)
-            if not conn.poll(timeout):
-                # an unanswered request desyncs the request/reply pipe —
-                # poison the link instead of pairing later replies wrong
-                self._broken = (
-                    f"no answer to {message[0]!r} within {timeout}s"
-                )
-                raise ServingError(f"gateway link broken: {self._broken}")
-            reply = conn.recv()
-        if reply[0] == "error":
-            _raise_gateway_error(reply[1], reply[2], reply[3])
-        return reply[1]
-
-    def topk_batch_versioned(
-        self, vectors, k: int = 10, category=None, min_version=None
-    ):
-        return self._roundtrip(
-            self._query_conn,
-            self._query_lock,
-            ("query", vectors, int(k), category, min_version),
-            self._timeout,
-        )
-
-    def submit_and_wait(self, delta, submission_id: str, timeout: float) -> int:
-        # generous margin: the parent enforces the real write timeout
-        return self._roundtrip(
-            self._write_conn,
-            self._write_lock,
-            ("submit", delta, submission_id, float(timeout)),
-            float(timeout) + 10.0,
-        )
-
-    def health_snapshot(self) -> dict:
-        return self._roundtrip(
-            self._query_conn, self._query_lock, ("health",), self._timeout
-        )
-
-    @property
-    def stats(self) -> dict:
-        return self._roundtrip(
-            self._query_conn, self._query_lock, ("stats",), self._timeout
-        )
-
-    def recent_events(self, n: int = 50) -> list[dict]:
-        return self._roundtrip(
-            self._query_conn, self._query_lock, ("events", int(n)), self._timeout
-        )
-
-    def deployment_stats(self) -> dict:
-        return self._roundtrip(
-            self._query_conn,
-            self._query_lock,
-            ("deployment_stats",),
-            self._timeout,
-        )
-
-
-def _front_worker(
-    index: int,
-    control_conn,
-    query_conn,
-    write_conn,
-    host: str,
-    dimension: int,
-    options: dict,
-    gateway_timeout: float,
-    parent_pid: int,
-) -> None:
-    """Worker process: one HTTP front proxying to the parent's tier."""
-    target = _GatewayTarget(query_conn, write_conn, dimension, gateway_timeout)
-    front = HTTPServingFront(target, host=host, port=0, **options)
-    try:
-        front.start()
-    except BaseException as error:  # noqa: BLE001 - reported to the parent
-        try:
-            control_conn.send(
-                ("init-failed", f"{type(error).__name__}: {error}")
-            )
-        except OSError:
-            pass
-        os._exit(1)
-    try:
-        control_conn.send(("ready", front.port, os.getpid()))
-    except OSError:
-        os._exit(1)
-    try:
-        while True:
-            if not control_conn.poll(0.2):
-                if os.getppid() != parent_pid:
-                    return  # orphaned: the parent died without stopping us
-                continue
-            try:
-                message = control_conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "stop":
-                front.close()
-                try:
-                    control_conn.send(("stopped",))
-                except OSError:
-                    pass
-                return
-            if message[0] == "stats":
-                try:
-                    control_conn.send(
-                        ("stats", dataclasses.asdict(front.stats))
-                    )
-                except OSError:
-                    return
-    finally:
-        front.close()
-
-
-class _FrontHandle:
-    """Parent-side bookkeeping for one front worker."""
-
-    def __init__(self, index: int) -> None:
+    def __init__(
+        self, index: int, host: str, options: dict, timeout: float, context
+    ) -> None:
         self.index = index
-        self.process = None
-        self.control = None
-        self.query = None
-        self.write = None
+        self._host = host
+        self._options = options
+        self._timeout = timeout
+        self.control, self._control = context.Pipe()
+        self.writes, self._writes = context.Pipe()
+        self.info, self._info = context.Pipe()
+        self.handoff, self._handoff = socket.socketpair()
+        self._write_lock = threading.Lock()
+        self._info_lock = threading.Lock()
+        self._broken: str | None = None
+        self._front: HTTPServingFront | None = None
+        # parent side
+        self.process = None  # the replica worker hosting the front
         self.port: int | None = None
         self.pid: int | None = None
         self.alive = False
         self.connections = 0
         self.lock = threading.Lock()  # serialises control-pipe round trips
+        self.threads: list[threading.Thread] = []
+
+    # ------------------------------------------------------------------ #
+    # parent side
+    # ------------------------------------------------------------------ #
+    def forked(self) -> None:
+        """Right after the fork: the worker owns its ends."""
+        for end in (self._control, self._writes, self._info, self._handoff):
+            end.close()
+
+    def detach(self) -> None:
+        """Close every end this process still holds."""
+        self.forked()
+        for end in (self.control, self.writes, self.info, self.handoff):
+            end.close()
+
+    # ------------------------------------------------------------------ #
+    # worker side
+    # ------------------------------------------------------------------ #
+    def start(self, replica) -> None:
+        """Serve HTTP over ``replica``, then report the port."""
+        self.dimension = replica.dimension
+        self.topk_batch_versioned = replica.topk_batch_versioned
+        self._front = HTTPServingFront(
+            self, host=self._host, port=0, **self._options
+        ).start()
+        for loop in (self._serve_control, self._adopt_handoffs):
+            threading.Thread(
+                target=loop, name=f"front-{self.index}", daemon=True
+            ).start()
+        self._control.send(("ready", self._front.port, os.getpid()))
+
+    def close(self) -> None:
+        """Stop the front; the worker stays a follower.  Closing the
+        worker's pipe ends lets the parent's threads see EOF."""
+        if self._front is not None:
+            self._front.close()
+        try:
+            self._handoff.shutdown(socket.SHUT_RDWR)  # wakes the handoff loop
+        except OSError:
+            pass
+        self._writes.close()
+        self._info.close()
+
+    def _serve_control(self) -> None:
+        while True:
+            try:
+                message = self._control.recv()
+            except (EOFError, OSError):
+                return
+            stop = message[0] == "stop"
+            if stop:
+                self.close()
+                reply = ("stopped",)
+            else:
+                reply = ("stats", dataclasses.asdict(self._front.stats))
+            try:
+                self._control.send(reply)
+            except OSError:
+                return
+            if stop:
+                return
+
+    def _adopt_handoffs(self) -> None:
+        while True:
+            try:
+                _, fds, _, _ = socket.recv_fds(self._handoff, 1, 1)
+            except OSError:
+                return
+            if not fds:
+                return  # the channel was shut: the front stopped
+            self._front.adopt(socket.socket(fileno=fds[0]))
+
+    def _roundtrip(self, conn, lock, message, timeout: float):
+        if self._broken is not None:
+            raise ServingError(f"parent link broken: {self._broken}")
+        with lock:
+            conn.send(message)
+            if not conn.poll(timeout):
+                # an unanswered request desyncs the request/reply pipe —
+                # poison the link instead of pairing later replies wrong
+                self._broken = f"no answer to {message[0]!r} within {timeout}s"
+                raise ServingError(f"parent link broken: {self._broken}")
+            reply = conn.recv()
+        if reply[0] == "error":
+            raise reply[1]
+        return reply[1]
+
+    def submit_and_wait(self, delta, submission_id: str, timeout: float) -> int:
+        # generous margin: the parent enforces the real write timeout
+        return self._roundtrip(
+            self._writes, self._write_lock,
+            ("submit", delta, submission_id, float(timeout)),
+            float(timeout) + 10.0,
+        )
+
+    def _ask(self, message):
+        return self._roundtrip(self._info, self._info_lock, message, self._timeout)
+
+    def health_snapshot(self) -> dict:
+        return self._ask(("health",))
+
+    @property
+    def stats(self) -> dict:
+        return self._ask(("stats",))
+
+    def recent_events(self, n: int = 50) -> list[dict]:
+        return self._ask(("events", int(n)))
+
+    def deployment_stats(self) -> dict:
+        return self._ask(("deployment_stats",))
 
 
 class MultiFrontDeployment:
-    """Run ``n_fronts`` HTTP front processes over one started tier.
+    """Run ``n_fronts`` HTTP fronts inside the replicas of a started tier.
 
-    ``tier`` must already be started (it owns the replica pool and the
-    write queue); the deployment only scales the HTTP layer.
-    ``front_options`` is forwarded to every
-    :class:`~repro.serving.http.HTTPServingFront` (auth tokens, rate
-    limits, TLS context, batching window, ...).  ``port`` binds the
-    balancer — the one address clients use; ``port=0`` picks an
-    ephemeral one, read :attr:`port` after :meth:`start`.
+    ``tier`` must already be started and be a one-shard grid with at
+    least ``n_fronts`` replicas (it owns the replica pool and the write
+    queue); front *i* runs in replica *i*'s worker.  ``front_options`` is
+    forwarded to every :class:`~repro.serving.http.HTTPServingFront`
+    (auth tokens, rate limits, TLS context, batching window, ...).
+    ``port`` binds the balancer — the one address clients use; ``port=0``
+    picks an ephemeral one, read :attr:`port` after :meth:`start`.
+    ``gateway_timeout`` bounds a front's health/stats round trip to the
+    parent.
     """
 
     def __init__(
@@ -275,6 +246,16 @@ class MultiFrontDeployment:
     ) -> None:
         if n_fronts < 1:
             raise ServingError("n_fronts must be at least 1")
+        if tier.n_shards != 1:
+            raise ServingError(
+                "fronts run inside the replicas of a one-shard grid; this "
+                f"tier has {tier.n_shards} shards"
+            )
+        if n_fronts > tier.n_replicas:
+            raise ServingError(
+                f"{n_fronts} fronts need as many replicas; this tier has "
+                f"{tier.n_replicas}"
+            )
         self._tier = tier
         self._n_fronts = int(n_fronts)
         self._host = host
@@ -285,143 +266,102 @@ class MultiFrontDeployment:
         self._context = multiprocessing.get_context("fork")
 
         self.port: int | None = None
-        self._fronts: list[_FrontHandle] = []
-        self._threads: list[threading.Thread] = []
+        self._fronts: list[_Front] = []
+        self._listener: socket.socket | None = None
         self._balancer_thread: threading.Thread | None = None
-        self._balancer_loop: asyncio.AbstractEventLoop | None = None
-        self._balancer_shutdown: asyncio.Event | None = None
-        self._proxy_tasks: set[asyncio.Task] = set()
-        self._startup_error: BaseException | None = None
-        self._stop_flag = threading.Event()
         self._started = False
         self._rr = 0
-        self._n_proxied = 0
+        self._n_handed_off = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "MultiFrontDeployment":
-        """Fork the fronts, then bind the balancer; idempotent."""
+        """Host the fronts in the replicas, then bind the balancer;
+        idempotent."""
         if self._started:
             return self
-        dimension = int(self._tier.dimension)  # also asserts the tier runs
-        for index in range(self._n_fronts):
-            handle = _FrontHandle(index)
-            self._spawn_front(handle, dimension)
-            self._fronts.append(handle)
-        for handle in self._fronts:
-            self._await_ready(handle)
-        monitor = threading.Thread(
-            target=self._monitor, name="multifront-monitor", daemon=True
-        )
-        monitor.start()
-        self._threads.append(monitor)
-        ready = threading.Event()
+        try:
+            # each front's pipes open only after the previous fork, so no
+            # replica inherits another front's worker-side ends
+            processes = self._tier.host(
+                (index, self._new_front(index)) for index in range(self._n_fronts)
+            )
+            for front in self._fronts:
+                front.process = processes[front.index]
+                self._await_ready(front)
+            try:
+                self._listener = socket.create_server(
+                    (self._host, self._requested_port)
+                )
+            except OSError as error:
+                raise ServingError(f"balancer failed to bind: {error}") from error
+        except BaseException:
+            self.stop()
+            raise
+        self.port = int(self._listener.getsockname()[1])
+        for front in self._fronts:
+            for server, conn in (
+                (self._serve_writes, front.writes),
+                (self._serve_info, front.info),
+            ):
+                thread = threading.Thread(
+                    target=server, args=(conn,),
+                    name=f"multifront-{front.index}", daemon=True,
+                )
+                thread.start()
+                front.threads.append(thread)
         self._balancer_thread = threading.Thread(
-            target=self._run_balancer, args=(ready,),
-            name="multifront-balancer", daemon=True,
+            target=self._balance, name="multifront-balancer", daemon=True
         )
         self._balancer_thread.start()
-        if not ready.wait(timeout=30.0):
-            self.stop()
-            raise ServingError("balancer did not come up within 30s")
-        if self._startup_error is not None:
-            error = self._startup_error
-            self.stop()
-            raise ServingError(f"balancer failed to bind: {error}")
         self._started = True
         self._events.emit(
             "started",
-            fronts=[handle.port for handle in self._fronts],
+            fronts=[front.port for front in self._fronts],
             balancer=self.port,
         )
         return self
 
-    def _spawn_front(self, handle: _FrontHandle, dimension: int) -> None:
-        control_parent, control_child = self._context.Pipe()
-        query_parent, query_child = self._context.Pipe()
-        write_parent, write_child = self._context.Pipe()
-        handle.control = control_parent
-        handle.query = query_parent
-        handle.write = write_parent
-        handle.process = self._context.Process(
-            target=_front_worker,
-            args=(
-                handle.index, control_child, query_child, write_child,
-                self._host, dimension, self._front_options,
-                self._gateway_timeout, os.getpid(),
-            ),
-            name=f"http-front-{handle.index}",
-            daemon=True,
+    def _new_front(self, index: int) -> _Front:
+        front = _Front(
+            index, self._host, self._front_options, self._gateway_timeout,
+            self._context,
         )
-        handle.process.start()
-        control_child.close()
-        query_child.close()
-        write_child.close()
-        for server, conn in (
-            (self._serve_queries, query_parent),
-            (self._serve_writes, write_parent),
-        ):
-            thread = threading.Thread(
-                target=server, args=(handle, conn),
-                name=f"multifront-gw-{handle.index}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._fronts.append(front)
+        return front
 
-    def _await_ready(self, handle: _FrontHandle) -> None:
-        if not handle.control.poll(30.0):
-            raise ServingError(
-                f"front {handle.index} did not come up within 30s"
-            )
-        message = handle.control.recv()
-        if message[0] != "ready":
-            raise ServingError(
-                f"front {handle.index} failed to start: {message[-1]}"
-            )
-        handle.port = int(message[1])
-        handle.pid = int(message[2])
-        handle.alive = True
+    def _await_ready(self, front: _Front) -> None:
+        if not front.control.poll(30.0):
+            raise ServingError(f"front {front.index} did not come up within 30s")
+        _, port, pid = front.control.recv()
+        front.port, front.pid, front.alive = int(port), int(pid), True
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the balancer, then drain and join every front."""
-        self._stop_flag.set()
-        loop = self._balancer_loop
-        if loop is not None:
-            shutdown = self._balancer_shutdown
-
-            def _request() -> None:
-                if shutdown is not None:
-                    shutdown.set()
-
+        """Stop the balancer, then each front; the replicas that hosted
+        them keep serving the tier as followers."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
             try:
-                loop.call_soon_threadsafe(_request)
-            except RuntimeError:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
+            except OSError:
                 pass
+            listener.close()
             if self._balancer_thread is not None:
                 self._balancer_thread.join(timeout)
-        for handle in self._fronts:
-            process = handle.process
-            if process is None:
-                continue
-            if process.is_alive():
+        for front in self._fronts:
+            if self._live(front):
                 try:
-                    with handle.lock:
-                        handle.control.send(("stop",))
-                        if handle.control.poll(timeout):
-                            handle.control.recv()
-                except (BrokenPipeError, EOFError, OSError):
+                    with front.lock:
+                        front.control.send(("stop",))
+                        if front.control.poll(timeout):
+                            front.control.recv()
+                except (EOFError, OSError):
                     pass
-                process.join(timeout)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout)
-            handle.alive = False
-            for conn in (handle.control, handle.query, handle.write):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+            front.alive = False
+            for thread in front.threads:
+                thread.join(1.0)  # EOF once the front closed its ends
+            front.detach()
         self._started = False
         self._events.emit("stopped")
 
@@ -432,116 +372,81 @@ class MultiFrontDeployment:
         self.stop()
 
     # ------------------------------------------------------------------ #
-    # parent-side gateway servers (one query + one write thread per front)
+    # parent-side servers (one write + one info thread per front)
     # ------------------------------------------------------------------ #
-    def _serve_queries(self, handle: _FrontHandle, conn) -> None:
+    def _serve_info(self, conn) -> None:
+        answers = {
+            "health": self._health_snapshot,
+            "stats": self._target_stats,
+            "events": lambda n: list(self._tier.recent_events(n)),
+            "deployment_stats": self.stats,
+        }
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            kind = message[0]
             try:
-                if kind == "query":
-                    _, vectors, k, category, min_version = message
-                    version, results = self._tier.topk_batch_versioned(
-                        vectors, k, category=category, min_version=min_version
-                    )
-                    reply = ("ok", (int(version), results))
-                elif kind == "health":
-                    reply = ("ok", self._health_snapshot())
-                elif kind == "stats":
-                    reply = ("ok", self._target_stats())
-                elif kind == "events":
-                    reply = ("ok", list(self._tier.recent_events(message[1])))
-                elif kind == "deployment_stats":
-                    reply = ("ok", self.stats())
-                else:
-                    reply = (
-                        "error", "serving",
-                        f"unknown gateway request {kind!r}", {},
-                    )
-            except BaseException as error:  # noqa: BLE001 - shipped to worker
-                reply = ("error", *_classify(error))
+                reply = ("ok", answers[message[0]](*message[1:]))
+            except BaseException as error:  # noqa: BLE001 - shipped to the front
+                reply = ("error", _shippable(error))
             try:
                 conn.send(reply)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
 
-    def _serve_writes(self, handle: _FrontHandle, conn) -> None:
+    def _serve_writes(self, conn) -> None:
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            if message[0] != "submit":
-                reply = (
-                    "error", "serving",
-                    f"unknown gateway request {message[0]!r}", {},
+            _, delta, submission_id, timeout = message
+            ticket = None
+            try:
+                ticket = self._tier.submit(
+                    delta, timeout=timeout, submission_id=submission_id
                 )
-            else:
-                _, delta, submission_id, timeout = message
-                ticket = None
-                try:
-                    ticket = self._tier.submit(
-                        delta, timeout=timeout, submission_id=submission_id
+                reply = ("ok", int(ticket.wait(timeout)))
+            except BaseException as error:  # noqa: BLE001 - shipped over
+                if (
+                    ticket is not None
+                    and isinstance(error, ServingError)
+                    and not isinstance(
+                        error, (BackpressureError, WriteDegradedError)
                     )
-                    reply = ("ok", int(ticket.wait(timeout)))
-                except BaseException as error:  # noqa: BLE001 - shipped over
-                    if (
-                        ticket is not None
-                        and isinstance(error, ServingError)
-                        and not isinstance(
-                            error, (BackpressureError, WriteDegradedError)
-                        )
-                        and not ticket.failed
-                        and ticket.published_version is None
-                    ):
-                        # the wait ran out but the write may yet publish
-                        reply = ("error", "timeout", str(error), {})
-                    else:
-                        reply = ("error", *_classify(error))
+                    and not ticket.failed
+                    and ticket.published_version is None
+                ):
+                    # the wait ran out but the write may yet publish
+                    reply = ("error", TimeoutError(str(error)))
+                else:
+                    reply = ("error", _shippable(error))
             try:
                 conn.send(reply)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
 
     def _health_snapshot(self) -> dict:
         tier = self._tier
-        degraded = bool(getattr(tier, "write_degraded", False)) or bool(
-            getattr(tier, "degraded", False)
-        )
-        payload = {
-            "status": "degraded" if degraded else "ok",
-            "version": int(getattr(tier, "published_version", 0)),
+        return {
+            "status": "degraded" if tier.write_degraded else "ok",
+            "version": tier.published_version,
+            "live_followers": tier.live_followers,
+            "live_fronts": self.live_fronts,
         }
-        live = getattr(tier, "live_followers", None)
-        if live is not None:
-            payload["live_followers"] = int(live)
-        payload["live_fronts"] = self.live_fronts
-        return payload
 
     def _target_stats(self) -> dict:
-        stats = getattr(self._tier, "stats", None)
-        if dataclasses.is_dataclass(stats):
-            return dataclasses.asdict(stats)
-        if isinstance(stats, dict):
-            return stats
-        return {}
+        return dataclasses.asdict(self._tier.stats)
 
     # ------------------------------------------------------------------ #
-    # monitoring + aggregation
+    # liveness + aggregation
     # ------------------------------------------------------------------ #
-    def _monitor(self) -> None:
-        while not self._stop_flag.is_set():
-            for handle in self._fronts:
-                process = handle.process
-                if handle.alive and process is not None and not process.is_alive():
-                    handle.alive = False
-                    self._events.emit(
-                        "front_dead", front=handle.index, pid=handle.pid
-                    )
-            self._stop_flag.wait(0.2)
+    def _live(self, front: _Front) -> bool:
+        if front.alive and not front.process.is_alive():
+            front.alive = False
+            self._events.emit("front_dead", front=front.index, pid=front.pid)
+        return front.alive
 
     @property
     def address(self) -> str:
@@ -558,86 +463,72 @@ class MultiFrontDeployment:
     @property
     def front_ports(self) -> list[int | None]:
         """Per-front listen ports (bypassing the balancer; tests use it)."""
-        return [handle.port for handle in self._fronts]
+        return [front.port for front in self._fronts]
 
     @property
     def front_pids(self) -> list[int | None]:
         """Per-front worker pids (chaos hooks SIGKILL these)."""
-        return [handle.pid for handle in self._fronts]
+        return [front.pid for front in self._fronts]
 
     @property
     def live_fronts(self) -> int:
-        """Number of front workers currently alive."""
-        return sum(
-            1
-            for handle in self._fronts
-            if handle.alive
-            and handle.process is not None
-            and handle.process.is_alive()
-        )
+        """Number of fronts whose worker is alive."""
+        return sum(1 for front in self._fronts if self._live(front))
 
     def kill_front(self, index: int) -> int:
-        """SIGKILL one front worker (chaos hook); returns its pid."""
-        handle = self._fronts[index]
-        if handle.process is None or handle.pid is None:
+        """SIGKILL the worker hosting one front (chaos hook); returns its
+        pid.  The tier respawns the replica as a plain follower."""
+        front = self._fronts[index]
+        if front.process is None or front.pid is None:
             raise ServingError(f"front {index} was never started")
-        handle.process.kill()
-        handle.process.join(5.0)
-        handle.alive = False
-        self._events.emit("front_killed", front=index, pid=handle.pid)
-        return handle.pid
+        front.process.kill()
+        front.process.join(5.0)
+        front.alive = False
+        self._events.emit("front_killed", front=index, pid=front.pid)
+        return front.pid
 
     def stats(self) -> dict:
         """Aggregated per-front counters plus the tier's own stats."""
         fronts: list[dict] = []
         totals = {field: 0 for field in _SUMMED_FIELDS}
         totals["largest_batch"] = 0
-        for handle in self._fronts:
-            entry: dict = {
-                "index": handle.index,
-                "pid": handle.pid,
-                "port": handle.port,
-                "alive": bool(
-                    handle.alive
-                    and handle.process is not None
-                    and handle.process.is_alive()
-                ),
-                "connections": handle.connections,
-            }
-            if entry["alive"]:
-                front_stats = self._collect_front_stats(handle)
-                entry["front"] = front_stats
-                if front_stats is not None:
-                    for field in _SUMMED_FIELDS:
-                        totals[field] += int(front_stats.get(field, 0))
-                    totals["largest_batch"] = max(
-                        totals["largest_batch"],
-                        int(front_stats.get("largest_batch", 0)),
-                    )
-            else:
-                entry["front"] = None
-            fronts.append(entry)
+        for front in self._fronts:
+            alive = self._live(front)
+            front_stats = self._collect_front_stats(front) if alive else None
+            fronts.append({
+                "index": front.index,
+                "pid": front.pid,
+                "port": front.port,
+                "alive": alive,
+                "connections": front.connections,
+                "front": front_stats,
+            })
+            if front_stats is not None:
+                for field in _SUMMED_FIELDS:
+                    totals[field] += int(front_stats.get(field, 0))
+                totals["largest_batch"] = max(
+                    totals["largest_batch"],
+                    int(front_stats.get("largest_batch", 0)),
+                )
         return {
             "fronts": fronts,
             "totals": totals,
             "live_fronts": self.live_fronts,
-            "balancer": {"port": self.port, "connections": self._n_proxied},
+            "balancer": {"port": self.port, "connections": self._n_handed_off},
             "target": self._target_stats(),
         }
 
-    def _collect_front_stats(self, handle: _FrontHandle) -> dict | None:
+    def _collect_front_stats(self, front: _Front) -> dict | None:
         try:
-            with handle.lock:
-                handle.control.send(("stats",))
-                if not handle.control.poll(5.0):
+            with front.lock:
+                front.control.send(("stats",))
+                if not front.control.poll(5.0):
                     return None
-                message = handle.control.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            handle.alive = False
+                message = front.control.recv()
+        except (EOFError, OSError):
+            front.alive = False
             return None
-        if message[0] != "stats":
-            return None
-        return message[1]
+        return message[1] if message[0] == "stats" else None
 
     def recent_events(self, n: int = 50) -> list[dict]:
         """The deployment's latest lifecycle events."""
@@ -646,113 +537,32 @@ class MultiFrontDeployment:
     # ------------------------------------------------------------------ #
     # connection balancer
     # ------------------------------------------------------------------ #
-    def _run_balancer(self, ready: threading.Event) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._balancer_loop = loop
-        try:
-            loop.run_until_complete(self._balance(ready))
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-            self._balancer_loop = None
+    def _balance(self) -> None:
+        """Hand each accepted connection to the next live front."""
+        listener = self._listener
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return  # stop() shut the listener
+            with connection:  # the front holds its own copy once sent
+                for front in self._rotation():
+                    try:
+                        socket.send_fds(
+                            front.handoff, [b"c"], [connection.fileno()]
+                        )
+                    except OSError:
+                        front.alive = False
+                        self._events.emit("front_unreachable", front=front.index)
+                        continue
+                    front.connections += 1
+                    self._n_handed_off += 1
+                    break
 
-    async def _balance(self, ready: threading.Event) -> None:
-        self._balancer_shutdown = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._proxy, self._host, self._requested_port
-            )
-        except OSError as error:
-            self._startup_error = error
-            ready.set()
-            return
-        self.port = int(server.sockets[0].getsockname()[1])
-        ready.set()
-        try:
-            await self._balancer_shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for task in list(self._proxy_tasks):
-                task.cancel()
-            if self._proxy_tasks:
-                await asyncio.gather(
-                    *self._proxy_tasks, return_exceptions=True
-                )
-
-    def _rotation(self) -> list[_FrontHandle]:
-        """Live fronts, rotated round-robin (loop thread only)."""
-        handles = [h for h in self._fronts if h.port is not None]
-        if not handles:
-            return []
+    def _rotation(self) -> list[_Front]:
+        """Live fronts, rotated round-robin (balancer thread only)."""
         start = self._rr
         self._rr += 1
-        ordered = [
-            handles[(start + offset) % len(handles)]
-            for offset in range(len(handles))
-        ]
-        return [
-            h
-            for h in ordered
-            if h.alive and h.process is not None and h.process.is_alive()
-        ]
-
-    async def _proxy(self, client_reader, client_writer) -> None:
-        task = asyncio.current_task()
-        self._proxy_tasks.add(task)
-        upstream_writer = None
-        try:
-            connection = None
-            for handle in self._rotation():
-                try:
-                    connection = await asyncio.open_connection(
-                        self._host, handle.port
-                    )
-                except OSError:
-                    handle.alive = False
-                    self._events.emit(
-                        "front_unreachable", front=handle.index
-                    )
-                    continue
-                break
-            if connection is None:
-                return  # no live front: drop the connection
-            upstream_reader, upstream_writer = connection
-            handle.connections += 1
-            self._n_proxied += 1
-            await asyncio.gather(
-                _pump(client_reader, upstream_writer),
-                _pump(upstream_reader, client_writer),
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._proxy_tasks.discard(task)
-            for writer in (client_writer, upstream_writer):
-                if writer is None:
-                    continue
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError, asyncio.CancelledError):
-                    pass
-
-
-async def _pump(reader, writer) -> None:
-    """Copy one direction of a proxied connection until EOF or error."""
-    try:
-        while True:
-            data = await reader.read(1 << 16)
-            if not data:
-                break
-            writer.write(data)
-            await writer.drain()
-    except (ConnectionError, OSError, asyncio.CancelledError):
-        pass
-    finally:
-        try:
-            if writer.can_write_eof():
-                writer.write_eof()
-        except (OSError, RuntimeError):
-            pass
+        n = len(self._fronts)
+        ordered = [self._fronts[(start + offset) % n] for offset in range(n)]
+        return [front for front in ordered if self._live(front)]

@@ -28,6 +28,11 @@ roots the same way).
   (read-your-writes); a lagging worker replays the log before answering,
   and shards that answered at different versions are re-asked at the
   newest, so one answer is always self-consistent.
+* A replica of a one-shard grid can also host a guest — a deployment's
+  HTTP front (:meth:`ReplicatedServingTier.host`) — that reads the
+  worker's own rows in-process.  The published version lives in shared
+  memory, so such a read is floored at it with one load; replay and read
+  share one lock in the worker, so one answer sees one version.
 * Writes pass a :class:`~repro.serving.runtime.RateLimiter` and a
   write-ahead :class:`~repro.serving.runtime.DeltaQueue`, then go to one
   lean primary process that validates each delta, runs
@@ -48,6 +53,7 @@ roots the same way).
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -156,10 +162,11 @@ def ship_snapshot(
 class _ShardState:
     """One worker's snapshot: extraction + its shard's vectors at a version.
 
-    The worker loop is single-threaded; :meth:`apply_record` rebuilds the
-    row set and drops the per-scope indexes, so a query either sees the
-    old snapshot or the new one, never a mix.  With ``n_shards=1`` every
-    row belongs to shard 0: ``local_ids`` is the identity and ``vectors``
+    Not thread-safe: the worker reaches it through one lock
+    (:class:`_LocalReplica`).  :meth:`apply_record` rebuilds the row set
+    and drops the per-scope indexes, so a query either sees the old
+    snapshot or the new one, never a mix.  With ``n_shards=1`` every row
+    belongs to shard 0: ``local_ids`` is the identity and ``vectors``
     *is* the full matrix in global row order.
     """
 
@@ -188,12 +195,15 @@ class _ShardState:
         base, version = self.store.load_embedding_set_readonly(self.artifact)
         self.extraction = base.extraction
         self.version = version
-        mine = [
-            record.index
-            for record in self.extraction.records
-            if stable_shard(record.category, record.text, self.n_shards)
-            == self.shard_id
-        ]
+        if self.n_shards == 1:
+            mine = range(len(self.extraction.records))
+        else:
+            mine = [
+                record.index
+                for record in self.extraction.records
+                if stable_shard(record.category, record.text, self.n_shards)
+                == self.shard_id
+            ]
         self.local_ids = np.asarray(mine, dtype=np.int64)
         # the only materialised vectors: this shard's rows, copied out of
         # the shared read-only mapping (1/n_shards of the matrix)
@@ -396,15 +406,63 @@ def _start_or_report(conn, build):
         return None
 
 
+class _LocalReplica:
+    """A worker's rows behind the one lock every access in the worker holds.
+
+    The tail, the pipe commands and a guest's reads run on different
+    threads; one lock around replay and read means an answer's ids,
+    vectors and scope index come from one version, the one it reports.
+    A guest reads through :meth:`topk_batch_versioned`, at or past both
+    ``min_version`` and the tier's published version (``published``,
+    shared memory the tier raises before any ticket resolves).
+    """
+
+    def __init__(self, state: _ShardState, published) -> None:
+        self.state = state
+        self.lock = threading.Lock()
+        self._published = published
+        self.dimension = int(state.vectors.shape[1])
+
+    def read(self, queries, k: int, category, floor: int) -> tuple[int, list]:
+        """``(version, rows)`` of :meth:`_ShardState.query` at or past
+        ``floor``; an unknown category syncs once before it is refused."""
+        state = self.state
+        with self.lock:
+            if state.version < floor:
+                state.sync_to_latest()
+            if category is not None and category not in state.extraction.categories:
+                state.sync_to_latest()  # a delta not replayed yet may add it
+                if category not in state.extraction.categories:
+                    raise ExtractionError(f"unknown category {category!r}")
+            return state.version, state.query(queries, k, category)
+
+    def sync(self) -> int:
+        with self.lock:
+            self.state.sync_to_latest()
+            return self.state.version
+
+    def topk_batch_versioned(
+        self, vectors, k: int = 10, category: str | None = None,
+        min_version: int | None = None,
+    ) -> tuple[int, list[list[tuple[str, str, float]]]]:
+        # a co-batched floor never lowers the published one
+        floor = max(self._published.value, min_version or 0)
+        queries = np.asarray(vectors, dtype=np.float64)
+        version, rows = self.read(queries, int(k), category, floor)
+        return version, _merge([rows], int(k))
+
+
 def _worker(
     shard_id: int,
     n_shards: int,
-    store_root: str,
+    store: EmbeddingStore,
     artifact: str,
     metric: str,
     index_kind: str,
     index_params: dict,
     tail_interval: float,
+    published,
+    guest,
     conn,
     parent_pid: int,
 ) -> None:
@@ -412,50 +470,67 @@ def _worker(
 
     Idle cycles tail the log every ``tail_interval`` seconds so
     replication lag stays bounded even with no queries arriving; a query
-    whose floor is past this worker's position replays first.
+    whose floor is past this worker's position replays first.  A
+    ``guest`` is started over the worker's :class:`_LocalReplica` before
+    the worker reports ready, and closed when the worker's loop ends.
     """
-    state = _start_or_report(conn, lambda: _ShardState(
-        EmbeddingStore(store_root), artifact, shard_id, n_shards, metric,
-        index_kind=index_kind, index_params=index_params,
-    ))
-    if state is None:
-        return
-    conn.send(("ready", state.version))
-    last_tail = time.monotonic()
+    # the inherited heap is the parent's: without this, each full cyclic
+    # collection walks it (0.12 s at perfbench's corpus, one during the
+    # bootstrap alone) and copies the pages it touches
+    gc.freeze()
 
-    def tail() -> None:
-        # checked before every poll: a continuous command stream (health
-        # pings, a busy read front) must never starve replication
-        nonlocal last_tail
-        if time.monotonic() - last_tail < tail_interval:
+    def build() -> _LocalReplica:
+        replica = _LocalReplica(_ShardState(
+            store, artifact, shard_id, n_shards, metric,
+            index_kind=index_kind, index_params=index_params,
+        ), published)
+        if guest is not None:
+            guest.start(replica)
+        return replica
+
+    try:
+        replica = _start_or_report(conn, build)
+        if replica is None:
             return
-        try:
-            state.sync_to_latest()
-        except StoreFormatError:
-            pass  # a half-committed append; the next tick retries
+        conn.send(("ready", replica.state.version))
         last_tail = time.monotonic()
 
-    def query(queries, k, category, floor):
-        faults.fire("shard.worker", "before")
-        if state.version < floor:
-            state.sync_to_latest()
-        rows = state.query(queries, int(k), category)
-        if faults.should_drop("shard.pipe_send"):
-            return None  # injected: the response never leaves the worker
-        return ("result", state.version, rows)
+        def tail() -> None:
+            # checked before every poll: a continuous command stream
+            # (health pings, a busy read front) must never starve
+            # replication
+            nonlocal last_tail
+            if time.monotonic() - last_tail < tail_interval:
+                return
+            try:
+                replica.sync()
+            except StoreFormatError:
+                pass  # a half-committed append; the next tick retries
+            last_tail = time.monotonic()
 
-    def sync():
-        state.sync_to_latest()
-        return ("synced", state.version)
+        def query(queries, k, category, floor):
+            faults.fire("shard.worker", "before")
+            version, rows = replica.read(queries, int(k), category, floor)
+            if faults.should_drop("shard.pipe_send"):
+                return None  # injected: the response never leaves the worker
+            return ("result", version, rows)
 
-    # wake on the tail clock, not only on requests: tailing in idle gaps
-    # keeps it off the path of the next query
-    _serve(conn, parent_pid, {
-        "query": query,
-        "sync": sync,
-        "ping": lambda: ("pong", state.version),
-        "dump": lambda: ("state", state.version, state.local_ids, state.vectors),
-    }, idle=tail, poll_interval=min(_POLL_INTERVAL, tail_interval))
+        def dump():
+            with replica.lock:
+                state = replica.state
+                return ("state", state.version, state.local_ids, state.vectors)
+
+        # wake on the tail clock, not only on requests: tailing in idle
+        # gaps keeps it off the path of the next query
+        _serve(conn, parent_pid, {
+            "query": query,
+            "sync": lambda: ("synced", replica.sync()),
+            "ping": lambda: ("pong", replica.state.version),
+            "dump": dump,
+        }, idle=tail, poll_interval=min(_POLL_INTERVAL, tail_interval))
+    finally:
+        if guest is not None:
+            guest.close()
 
 
 def _applier_worker(
@@ -566,7 +641,10 @@ class ReplicatedTierStats:
     """Counters of one :class:`ReplicatedServingTier`.
 
     ``live_followers`` counts live grid workers (every worker follows the
-    log); ``n_shards × n_replicas`` is the full grid.
+    log); ``n_shards × n_replicas`` is the full grid.  ``queries`` and
+    ``degraded_queries`` count the tier's own reads
+    (:meth:`ReplicatedServingTier.topk_batch_versioned`); a read that a
+    hosted front answers inside its worker is counted by that front.
     """
 
     n_shards: int
@@ -715,6 +793,8 @@ class ReplicatedServingTier:
         self._started = False
         self._stopped = False
         self._version = 0  # newest log version a read must reflect
+        # the same floor in shared memory, for reads inside the workers
+        self._published = self._context.RawValue("q", 0)
         self._catalog = None  # extraction metadata for category listing
         self._catalog_version = 0
         self._dimension: int | None = None
@@ -745,13 +825,12 @@ class ReplicatedServingTier:
             raise ServingError("cannot restart a stopped replicated tier")
         # extract the mmap sidecar once, before forking: N workers racing
         # the first extraction would each decompress the archive
-        matrix = self._store.open_matrix_readonly(self._artifact)
-        self._dimension = int(matrix.shape[1])
         base, version = self._store.load_embedding_set_readonly(self._artifact)
+        self._dimension = int(base.matrix.shape[1])
         self._catalog = base.extraction
         self._catalog_version = version
         self._sync_catalog(self._store.latest_version(self._artifact))
-        self._version = self._catalog_version
+        self._advance(self._catalog_version)
         for handle in self._workers():
             self._spawn_worker(handle)
         for handle in self._workers():
@@ -782,11 +861,14 @@ class ReplicatedServingTier:
         handle.process.start()
         child.close()
 
-    def _spawn_worker(self, handle: _Handle) -> None:
+    def _spawn_worker(self, handle: _Handle, guest=None) -> None:
+        # the store object, not its root: the fork inherits its warm
+        # base-version cache, one header parse less per bootstrap
         self._spawn(
             handle, _worker, handle.shard_id, self.n_shards,
-            self._store_root, self._artifact, self._metric,
+            self._store, self._artifact, self._metric,
             self._index_kind, self._index_params, self._tail_interval,
+            self._published, guest,
         )
 
     def _spawn_primary(self, retrofitter) -> None:
@@ -819,6 +901,54 @@ class ReplicatedServingTier:
         handle.version = int(message[1])
         handle.missed_heartbeats = 0
         handle.alive = True
+
+    def host(self, guests) -> dict:
+        """Fork fresh replicas that each host a guest; ``{replica: process}``.
+
+        ``guests`` yields ``(replica id, guest)`` pairs of a one-shard
+        grid.  A guest is forked into its new worker, so it may carry what
+        cannot be pickled (an ``ssl.SSLContext``); there the worker calls
+        ``guest.start(replica)`` once its rows are loaded (``replica``
+        answers ``topk_batch_versioned`` from them, at or past
+        :attr:`published_version`) and ``guest.close()`` when it stops.
+        ``guest.forked()`` runs here right after the fork, before the next
+        pair is drawn.  Each old worker serves until every new one is
+        ready; a replica that dies later respawns without its guest.
+        """
+        if self.n_shards != 1:
+            raise ServingError("only a one-shard grid can host guests")
+        if not self._started or self._stopped:
+            raise ServingError("replicated tier is not running — call start()")
+        fresh: dict[int, _Handle] = {}
+        ready = False
+        try:
+            for replica, guest in guests:
+                with self._lifecycle_lock:
+                    if self._stopped or self._grid[0][replica].respawning:
+                        raise ServingError(f"replica {replica} is not steady")
+                    self._grid[0][replica].respawning = True  # heartbeat: hands off
+                    fresh[replica] = _Handle(0, replica)
+                    self._spawn_worker(fresh[replica], guest)
+                    guest.forked()
+            for new in fresh.values():
+                self._await_ready(new, self._query_timeout)
+            ready = True
+        finally:
+            # stop() either sees a new process or it is never swapped in
+            with self._lifecycle_lock:
+                for replica, new in fresh.items():
+                    handle = self._grid[0][replica]
+                    handle.respawning = False
+                    if ready and not self._stopped:
+                        with handle.lock:
+                            handle.process, new.process = new.process, handle.process
+                            handle.conn, new.conn = new.conn, handle.conn
+                            handle.version, handle.alive = new.version, True
+                            handle.missed_heartbeats = 0
+                    self._terminate(new)  # the old worker, or a failed new one
+                    if new.conn is not None:
+                        new.conn.close()
+        return {replica: self._grid[0][replica].process for replica in fresh}
 
     def stop(self, flush: bool = True, timeout: float | None = 30.0) -> None:
         """Stop the heartbeat, writer and every process of the tier."""
@@ -1285,6 +1415,7 @@ class ReplicatedServingTier:
         """Raise the read floor (never lower it: reads are monotonic)."""
         with self._progress:
             self._version = max(self._version, int(version))
+            self._published.value = self._version
 
     # ------------------------------------------------------------------ #
     # reader side

@@ -391,6 +391,12 @@ class EmbeddingStore:
         its read-only pages with the page cache.
         """
         header, matrix_path = self._verified_matrix_path(name, kind)
+        return self._map_sidecar(name, header, matrix_path, array)
+
+    def _map_sidecar(
+        self, name: str, header: dict[str, Any], matrix_path: Path, array: str
+    ) -> np.ndarray:
+        """Map ``array`` of a verified archive, extracting its sidecar once."""
         checksum12 = str(header["matrix_sha256"])[:12]
         safe_array = re.sub(r"[^A-Za-z0-9_-]", "_", array)
         sidecar = self.root / f"{name}.{checksum12}.{safe_array}.npy"
@@ -440,9 +446,11 @@ class EmbeddingStore:
         newest version (shard workers) replay the chain themselves via
         :meth:`read_embedding_set_delta`, touching only their own rows.
         """
-        header, _ = self._verified_matrix_path(name, KIND_EMBEDDING_SET)
+        header, matrix_path = self._verified_matrix_path(name, KIND_EMBEDDING_SET)
         extraction = extraction_from_dict(header.get("extraction", {}))
-        matrix = self.open_matrix_readonly(name)
+        # one verified header for both halves: a concurrent re-save cannot
+        # pair this extraction with another version's matrix
+        matrix = self._map_sidecar(name, header, matrix_path, "matrix")
         if matrix.ndim != 2 or matrix.shape[0] != len(extraction):
             raise StoreFormatError(
                 f"artifact {name!r}: mapped matrix has shape {matrix.shape} "

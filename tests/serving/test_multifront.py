@@ -48,12 +48,14 @@ class TestDeploymentBasics:
         assert deployment.live_fronts == 2
         ports = deployment.front_ports
         assert len(ports) == 2 and len(set(ports)) == 2
-        client = ServingClient(deployment.address, retry=RetryPolicy(attempts=2))
-        for query in queries:
-            body = client.topk(query, k=3)
-            assert body["version"] == 0
-            assert len(body["results"]) == 3
-        health = client.health()
+        with ServingClient(
+            deployment.address, retry=RetryPolicy(attempts=2)
+        ) as client:
+            for query in queries:
+                body = client.topk(query, k=3)
+                assert body["version"] == 0
+                assert len(body["results"]) == 3
+            health = client.health()
         assert health["status"] == "ok"
         assert health["live_followers"] == 2
         assert health["live_fronts"] == 2
@@ -62,9 +64,8 @@ class TestDeploymentBasics:
         deployment, queries = deployed
         # one request per connection → round-robin spreads them evenly
         for i in range(6):
-            ServingClient(deployment.address, client_id=f"c{i}").topk(
-                queries[i % len(queries)], k=2
-            )
+            with ServingClient(deployment.address, client_id=f"c{i}") as client:
+                client.topk(queries[i % len(queries)], k=2)
         stats = deployment.stats()
         assert stats["live_fronts"] == 2
         assert len(stats["fronts"]) == 2
@@ -76,9 +77,9 @@ class TestDeploymentBasics:
 
     def test_per_front_stats_expose_the_deployment_aggregate(self, deployed):
         deployment, queries = deployed
-        client = ServingClient(deployment.address)
-        client.topk(queries[0], k=2)
-        body = client.stats()
+        with ServingClient(deployment.address) as client:
+            client.topk(queries[0], k=2)
+            body = client.stats()
         assert body["deployment"]["live_fronts"] == 2
         assert body["deployment"]["totals"]["requests"] >= 1
 
@@ -117,50 +118,50 @@ class TestFrontFailover:
                 tier, n_fronts=2,
                 front_options={"write_timeout_seconds": 300.0},
             ) as deployment:
-                client = ServingClient(
+                with ServingClient(
                     deployment.address,
                     retry=RetryPolicy(attempts=6, base_delay=0.05),
                     timeout=300.0,
-                )
-                acked = []
-                killed = threading.Event()
+                ) as client:
+                    acked = []
+                    killed = threading.Event()
 
-                def writer():
-                    for i in range(3):
-                        version = client.submit(
-                            DatabaseDelta().insert("movies", movie(i)),
-                            submission_id=f"failover-{i}",
-                        )
-                        acked.append(version)
-                        if i == 0:
-                            deployment.kill_front(0)
-                            killed.set()
+                    def writer():
+                        for i in range(3):
+                            version = client.submit(
+                                DatabaseDelta().insert("movies", movie(i)),
+                                submission_id=f"failover-{i}",
+                            )
+                            acked.append(version)
+                            if i == 0:
+                                deployment.kill_front(0)
+                                killed.set()
 
-                thread = threading.Thread(target=writer)
-                thread.start()
-                assert killed.wait(timeout=300)
-                thread.join(timeout=300)
-                assert not thread.is_alive()
-                # every submit was eventually acked, through whichever
-                # front survived, at strictly increasing log positions
-                assert len(acked) == 3
-                assert acked == sorted(acked)
-                assert len(set(acked)) == 3
-                assert deployment.live_fronts == 1
-                # zero lost acked writes: the log is at (or past) every
-                # acked version, and a floored read through the balancer
-                # observes the newest one
-                assert tier.stats.log_version >= max(acked)
-                body = client.topk(query, k=3, min_version=max(acked))
-                assert body["version"] >= max(acked)
-                # resubmitting an acked id is a dedup hit, not a reapply
-                log_before = tier.stats.log_version
-                again = client.submit(
-                    DatabaseDelta().insert("movies", movie(1)),
-                    submission_id="failover-1",
-                )
-                assert again == acked[1]
-                assert tier.stats.log_version == log_before
+                    thread = threading.Thread(target=writer)
+                    thread.start()
+                    assert killed.wait(timeout=300)
+                    thread.join(timeout=300)
+                    assert not thread.is_alive()
+                    # every submit was eventually acked, through whichever
+                    # front survived, at strictly increasing log positions
+                    assert len(acked) == 3
+                    assert acked == sorted(acked)
+                    assert len(set(acked)) == 3
+                    assert deployment.live_fronts == 1
+                    # zero lost acked writes: the log is at (or past) every
+                    # acked version, and a floored read through the balancer
+                    # observes the newest one
+                    assert tier.stats.log_version >= max(acked)
+                    body = client.topk(query, k=3, min_version=max(acked))
+                    assert body["version"] >= max(acked)
+                    # resubmitting an acked id is a dedup hit, not a reapply
+                    log_before = tier.stats.log_version
+                    again = client.submit(
+                        DatabaseDelta().insert("movies", movie(1)),
+                        submission_id="failover-1",
+                    )
+                    assert again == acked[1]
+                    assert tier.stats.log_version == log_before
 
 
 class TestKeepAliveThroughTheBalancer:

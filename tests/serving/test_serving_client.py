@@ -69,24 +69,24 @@ def served():
 class TestReadYourWrites:
     def test_topk_is_floored_at_the_last_acked_write(self, served):
         front, target = served
-        client = ServingClient(front.address, retry=FAST_RETRY)
-        client.topk(VECTOR)  # before any write: no floor
-        version = client.submit(wire_delta(), submission_id="ryw-1")
-        assert version == 1
-        assert client.last_write_version == 1
-        body = client.topk(VECTOR)
-        assert body["version"] >= 1
-        # an explicit min_version overrides the automatic floor
-        client.topk(VECTOR, min_version=0)
+        with ServingClient(front.address, retry=FAST_RETRY) as client:
+            client.topk(VECTOR)  # before any write: no floor
+            version = client.submit(wire_delta(), submission_id="ryw-1")
+            assert version == 1
+            assert client.last_write_version == 1
+            body = client.topk(VECTOR)
+            assert body["version"] >= 1
+            # an explicit min_version overrides the automatic floor
+            client.topk(VECTOR, min_version=0)
         assert target.floors == [None, 1, 0]
 
     def test_opting_out_disables_the_floor(self, served):
         front, target = served
-        client = ServingClient(
+        with ServingClient(
             front.address, retry=FAST_RETRY, read_your_writes=False
-        )
-        client.submit(wire_delta(), submission_id="no-ryw")
-        client.topk(VECTOR)
+        ) as client:
+            client.submit(wire_delta(), submission_id="no-ryw")
+            client.topk(VECTOR)
         assert target.floors == [None]
 
 
@@ -94,8 +94,8 @@ class TestRetries:
     def test_transient_429_retries_under_the_same_submission_id(self, served):
         front, target = served
         target.fail_first_submits = 2  # two 429s, then success
-        client = ServingClient(front.address, retry=FAST_RETRY)
-        version = client.submit(wire_delta(), submission_id="retry-1")
+        with ServingClient(front.address, retry=FAST_RETRY) as client:
+            version = client.submit(wire_delta(), submission_id="retry-1")
         assert version == 1
         # every attempt resent the *same* idempotency key, and the delta
         # landed exactly once
@@ -105,8 +105,8 @@ class TestRetries:
     def test_minted_id_is_fixed_before_the_first_attempt(self, served):
         front, target = served
         target.fail_first_submits = 1
-        client = ServingClient(front.address, retry=FAST_RETRY)
-        client.submit(wire_delta())  # no explicit id: client mints one
+        with ServingClient(front.address, retry=FAST_RETRY) as client:
+            client.submit(wire_delta())  # no explicit id: client mints one
         assert len(target.submission_ids) == 2
         assert target.submission_ids[0] == target.submission_ids[1]
         assert target.applied == 1
@@ -114,11 +114,11 @@ class TestRetries:
     def test_exhausted_retries_surface_the_transient_error(self, served):
         front, target = served
         target.fail_first_submits = 99
-        client = ServingClient(
+        with ServingClient(
             front.address, retry=RetryPolicy(attempts=2, base_delay=0.01)
-        )
-        with pytest.raises(TransientServingError) as excinfo:
-            client.submit(wire_delta(), submission_id="doomed")
+        ) as client:
+            with pytest.raises(TransientServingError) as excinfo:
+                client.submit(wire_delta(), submission_id="doomed")
         assert excinfo.value.status == 429
         assert excinfo.value.code == "rate_limited"
         assert len(target.submission_ids) == 2  # attempts, not attempts+1
@@ -128,9 +128,9 @@ class TestRetries:
         with HTTPServingFront(
             target, window_seconds=0.0, auth_tokens={"t": ("read",)}
         ) as front:
-            client = ServingClient(front.address, retry=FAST_RETRY)
-            with pytest.raises(ServingAPIError) as excinfo:
-                client.topk(VECTOR)
+            with ServingClient(front.address, retry=FAST_RETRY) as client:
+                with pytest.raises(ServingAPIError) as excinfo:
+                    client.topk(VECTOR)
             assert excinfo.value.status == 401
             assert excinfo.value.code == "unauthenticated"
             assert not isinstance(excinfo.value, TransientServingError)
@@ -155,24 +155,26 @@ class TestAuthAndHealth:
         with HTTPServingFront(
             target, window_seconds=0.0, auth_tokens=tokens
         ) as front:
-            client = ServingClient(front.address, token="rw", retry=FAST_RETRY)
-            assert client.topk(VECTOR)["version"] == 0
-            assert client.submit(wire_delta(), submission_id="authed") == 1
+            with ServingClient(
+                front.address, token="rw", retry=FAST_RETRY
+            ) as client:
+                assert client.topk(VECTOR)["version"] == 0
+                assert client.submit(wire_delta(), submission_id="authed") == 1
 
     def test_health_returns_the_degraded_body_without_raising(self):
         class _Degraded(_RecordingTarget):
             degraded = True
 
         with HTTPServingFront(_Degraded(), window_seconds=0.0) as front:
-            client = ServingClient(front.address, retry=FAST_RETRY)
-            body = client.health()  # 503 on the wire, body surfaced
+            with ServingClient(front.address, retry=FAST_RETRY) as client:
+                body = client.health()  # 503 on the wire, body surfaced
             assert body["status"] == "degraded"
 
     def test_stats_round_trips(self, served):
         front, _ = served
-        client = ServingClient(front.address, client_id="stats-reader")
-        client.topk(VECTOR)
-        body = client.stats()
+        with ServingClient(front.address, client_id="stats-reader") as client:
+            client.topk(VECTOR)
+            body = client.stats()
         assert body["front"]["requests"] == 1
 
     def test_submit_rejects_non_delta_payloads(self, served):
