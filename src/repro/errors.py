@@ -78,6 +78,15 @@ class BackpressureError(ServingError):
         self.retry_after = float(retry_after)
 
 
+class WriteTimeoutError(ServingError, TimeoutError):
+    """A write was accepted but not published within the caller's wait.
+
+    The write is still pending and may yet publish: resubmitting it under
+    the same ``submission_id`` returns its version once it lands.  The
+    HTTP front maps this to ``504``.
+    """
+
+
 class WriteDegradedError(ServingError):
     """The write path latched degraded and refuses new submissions.
 

@@ -378,7 +378,8 @@ class IncrementalRetrofitter:
         report.iterations = total_iterations
         report.shift_history = shift_history
         report.n_active = int(active.size)
-        report.converged = bool(report.converged and certified)
+        # the residual check, not the last round's shift, is the verdict
+        report.converged = certified
         return matrix, report, active
 
     def _active_rows(

@@ -520,7 +520,11 @@ class RetroSolver:
         """Run one of the solvers.
 
         ``method`` is ``"series"`` (RN, default, 10 iterations) or
-        ``"optimization"`` (RO, 20 iterations), matching the paper's setup.
+        ``"optimization"`` (RO, 20 iterations), matching the paper's setup;
+        ``iterations=None`` picks that default and ``0`` runs none.  The
+        report's ``converged`` says whether the last step moved every row
+        by less than ``tolerance`` — a budget that runs out first is not
+        convergence.
         ``W_init`` warm-starts the iteration from a previous solution
         instead of ``W0`` (``initial_matrix`` is the historical alias);
         ``frozen_rows`` is a boolean mask of rows that must not move and
@@ -530,7 +534,7 @@ class RetroSolver:
         """
         if method in ("series", "rn", "RN"):
             return self.solve_series(
-                iterations=iterations or 10,
+                iterations=10 if iterations is None else iterations,
                 track_loss=track_loss,
                 tolerance=tolerance,
                 initial_matrix=initial_matrix,
@@ -540,7 +544,7 @@ class RetroSolver:
             )
         if method in ("optimization", "ro", "RO"):
             return self.solve_optimization(
-                iterations=iterations or 20,
+                iterations=20 if iterations is None else iterations,
                 track_loss=track_loss,
                 tolerance=tolerance,
                 initial_matrix=initial_matrix,
@@ -978,7 +982,7 @@ class RetroSolver:
             method="RO",
             iterations=performed,
             runtime_seconds=time.perf_counter() - start,
-            converged=converged or performed == iterations,
+            converged=converged,
             convexity_margin=self.convexity_margin,
             shift_history=shift_history,
             loss_history=loss_history,
@@ -1046,7 +1050,7 @@ class RetroSolver:
             method="RN",
             iterations=performed,
             runtime_seconds=time.perf_counter() - start,
-            converged=converged or performed == iterations,
+            converged=converged,
             convexity_margin=self.convexity_margin,
             shift_history=shift_history,
             loss_history=loss_history,

@@ -801,43 +801,28 @@ class HTTPServingFront:
         return submission_id, delta
 
     def _execute_submit(self, delta, submission_id: str) -> int:
-        """Blocking submit + ticket wait, off the event loop."""
+        """Blocking submit + ticket wait, off the event loop; a wait that
+        runs out on a pending write (:class:`TimeoutError`) is a 504."""
         target = self._target
         # a deployment front's target collapses submit and wait into one
         # round trip to the parent process
         waiter = getattr(target, "submit_and_wait", None)
-        if callable(waiter):
-            try:
-                return int(
-                    waiter(
-                        delta,
-                        submission_id=submission_id,
-                        timeout=self._write_timeout,
-                    )
-                )
-            except TimeoutError as error:
-                raise _BadRequest(str(error), 504) from None
         submit = getattr(target, "submit", None)
-        if not callable(submit):
+        if not callable(waiter) and not callable(submit):
             raise _BadRequest(
                 "this front serves a read-only target — no write path", 501
             )
-        ticket = submit(
-            delta, timeout=self._write_timeout, submission_id=submission_id
-        )
         try:
+            if callable(waiter):
+                return int(waiter(
+                    delta, submission_id=submission_id, timeout=self._write_timeout
+                ))
+            ticket = submit(
+                delta, timeout=self._write_timeout, submission_id=submission_id
+            )
             return int(ticket.wait(self._write_timeout))
-        except (BackpressureError, WriteDegradedError):
-            raise
-        except ServingError:
-            if ticket.failed or ticket.published_version is not None:
-                raise
-            # the ticket is still pending: the wait timed out, the write
-            # may yet publish — a gateway-timeout, not a failure
-            raise _BadRequest(
-                f"write accepted but not published within "
-                f"{self._write_timeout}s", 504,
-            ) from None
+        except TimeoutError as error:
+            raise _BadRequest(str(error), 504) from None
 
     # ------------------------------------------------------------------ #
     # batching (the policy lives in BatchingCore; every call below runs on

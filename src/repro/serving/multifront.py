@@ -41,12 +41,7 @@ import os
 import socket
 import threading
 
-from repro.errors import (
-    BackpressureError,
-    ReproError,
-    ServingError,
-    WriteDegradedError,
-)
+from repro.errors import ReproError, ServingError
 from repro.serving.http import HTTPServingFront
 from repro.util import EventLog
 
@@ -67,7 +62,7 @@ _SUMMED_FIELDS = (
 def _shippable(error: BaseException) -> BaseException:
     """``error`` as the parent sends it to a front: the library's typed
     errors pickle as they are, anything else becomes a ServingError."""
-    if isinstance(error, (ReproError, TimeoutError)):
+    if isinstance(error, ReproError):
         return error
     return ServingError(f"{type(error).__name__}: {error}")
 
@@ -402,26 +397,14 @@ class MultiFrontDeployment:
             except (EOFError, OSError):
                 return
             _, delta, submission_id, timeout = message
-            ticket = None
             try:
                 ticket = self._tier.submit(
                     delta, timeout=timeout, submission_id=submission_id
                 )
                 reply = ("ok", int(ticket.wait(timeout)))
             except BaseException as error:  # noqa: BLE001 - shipped over
-                if (
-                    ticket is not None
-                    and isinstance(error, ServingError)
-                    and not isinstance(
-                        error, (BackpressureError, WriteDegradedError)
-                    )
-                    and not ticket.failed
-                    and ticket.published_version is None
-                ):
-                    # the wait ran out but the write may yet publish
-                    reply = ("error", TimeoutError(str(error)))
-                else:
-                    reply = ("error", _shippable(error))
+                # a wait that ran out ships as the WriteTimeoutError it is
+                reply = ("error", _shippable(error))
             try:
                 conn.send(reply)
             except OSError:

@@ -33,10 +33,11 @@ roots the same way).
   worker's own rows in-process.  The published version lives in shared
   memory, so such a read is floored at it with one load; replay and read
   share one lock in the worker, so one answer sees one version.
-* Writes pass a :class:`~repro.serving.runtime.RateLimiter` and a
-  write-ahead :class:`~repro.serving.runtime.DeltaQueue`, then go to one
-  lean primary process that validates each delta, runs
-  ``retrofitter.apply`` and appends the update to the log before its
+* Writes follow the :class:`~repro.serving.runtime.WriteCore` lifecycle
+  the in-process runtime shares (rate limit, write-ahead queue, tickets,
+  flush, stop, the degraded latch and the write counts); the tier's apply
+  step sends each batch to one lean primary process that validates it,
+  runs ``retrofitter.apply`` and appends the update to the log before its
   ticket resolves.
 * A heartbeat thread detects dead processes (liveness + ping).  A dead
   worker is respawned from the store; until then its reads re-route to
@@ -65,15 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import (
-    BackpressureError,
-    ExtractionError,
-    ServingError,
-    StoreFormatError,
-    WriteDegradedError,
-)
+from repro.errors import ExtractionError, ServingError, StoreFormatError
 from repro.serving.index import FlatIndex, VectorIndex
-from repro.serving.runtime import DeltaQueue, RateLimiter, UpdateTicket
+from repro.serving.runtime import RateLimiter, UpdateTicket, WriteCore
 from repro.serving.store import KIND_EMBEDDING_SET, EmbeddingStore
 from repro.util import EventLog, RetryPolicy, faults
 
@@ -696,9 +691,9 @@ class ReplicatedServingTier:
     :meth:`topk_batch_versioned`; pass ``min_version`` (a resolved
     :attr:`UpdateTicket.version`) to read at-or-past a log position —
     without it a read is floored at :attr:`published_version`.  Writes go
-    through :meth:`submit` → write-ahead :class:`DeltaQueue` → the
-    primary, which appends each applied update to the log before the
-    ticket resolves.
+    through :meth:`submit` → a :class:`~repro.serving.runtime.WriteCore`
+    → the primary, which appends each applied update to the log before
+    the ticket resolves.
 
     ``retrofitter_factory`` — a fork-inheritable callable ``embeddings ->
     IncrementalRetrofitter`` — arms primary failover: a dead primary is
@@ -756,7 +751,6 @@ class ReplicatedServingTier:
         self._retrofitter_factory = retrofitter_factory
         self._solve_iterations = solve_iterations
         self._query_timeout = float(query_timeout)
-        self._rate_limit = write_rate_limit
         self._heartbeat_interval = float(heartbeat_interval)
         self._heartbeat_misses = int(heartbeat_misses)
         self._tail_interval = float(tail_interval)
@@ -767,22 +761,20 @@ class ReplicatedServingTier:
             for shard in range(self.n_shards)
         ]
         self._primary: _Handle | None = None
-        self._queue = (
-            DeltaQueue(
-                capacity=queue_capacity,
-                coalesce=coalesce,
-                max_coalesced_ops=max_coalesced_ops,
-            )
-            if retrofitter is not None
-            else None
+        self._events = EventLog("replicated")
+        # started only with a writer side (a database and a retrofitter)
+        self._writes = WriteCore(
+            "replicated tier",
+            self._apply,
+            lambda: self._version,
+            self._events,
+            queue_capacity=queue_capacity,
+            coalesce=coalesce,
+            max_coalesced_ops=max_coalesced_ops,
+            rate_limit=write_rate_limit,
         )
-        self._writer_thread: threading.Thread | None = None
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
-        self._abandon = False
-        self._write_degraded: str | None = None
-        self._progress = threading.Condition()
-        self._done_seq = -1
 
         # the database mirror and failover are shared between the writer
         # and heartbeat threads; reads only need the per-handle locks
@@ -792,6 +784,7 @@ class ReplicatedServingTier:
         self._respawns: set[threading.Thread] = set()  # in flight
         self._started = False
         self._stopped = False
+        self._floor_lock = threading.Lock()
         self._version = 0  # newest log version a read must reflect
         # the same floor in shared memory, for reads inside the workers
         self._published = self._context.RawValue("q", 0)
@@ -805,11 +798,6 @@ class ReplicatedServingTier:
         self._n_respawns = 0
         self._n_failovers = 0
         self._last_failover_seconds: float | None = None
-        self._writes_applied = 0
-        self._writes_uncertified = 0
-        self._write_failures = 0
-        self._rate_limited = 0
-        self._events = EventLog("replicated")
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -835,13 +823,10 @@ class ReplicatedServingTier:
             self._spawn_worker(handle)
         for handle in self._workers():
             self._await_ready(handle, self._query_timeout)
-        if self._queue is not None:
+        if self._database is not None:
             self._spawn_primary(self._retrofitter)
             self._retrofitter = None
-            self._writer_thread = threading.Thread(
-                target=self._writer_loop, name="replicated-writer", daemon=True
-            )
-            self._writer_thread.start()
+            self._writes.start()
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop, name="replica-heartbeat", daemon=True
         )
@@ -958,21 +943,7 @@ class ReplicatedServingTier:
         self._heartbeat_stop.set()
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout)
-        if self._queue is not None:
-            if flush and self._write_degraded is None:
-                try:
-                    self.flush(timeout=timeout)
-                except ServingError:
-                    pass  # failing writes must not wedge shutdown
-            self._abandon = not flush
-            self._queue.close()
-            if self._writer_thread is not None:
-                self._writer_thread.join(timeout)
-            error = ServingError(
-                "replicated tier stopped before applying the delta"
-            )
-            for ticket in self._queue.drain_tickets():
-                ticket._fail(error)
+        self._writes.stop(flush, timeout)
         # no respawn starts after this; the ones in flight finish (or give
         # up) before the pipes close, so each pipe is closed once, here
         with self._lifecycle_lock:
@@ -980,9 +951,10 @@ class ReplicatedServingTier:
             respawns = list(self._respawns)
         for thread in respawns:
             thread.join(timeout)
-        handles = self._workers()
-        if self._primary is not None:
-            handles.append(self._primary)
+        with self._failover_lock:  # a primary respawn in flight lands first
+            handles = self._workers()
+            if self._primary is not None:
+                handles.append(self._primary)
         for handle in handles:
             if handle.conn is not None:
                 self._send_quietly(handle.conn, ("stop",))
@@ -1209,15 +1181,15 @@ class ReplicatedServingTier:
             try:
                 self._ensure_primary()
             except ServingError:
-                pass  # recorded via _write_degraded; reads keep working
+                pass  # latched in the write core; reads keep working
 
     def _ensure_primary(self) -> _Handle:
         """The live primary, respawning it from the store if it died.
 
         Idempotent and serialised: concurrent detection by the writer and
         heartbeat threads performs one respawn.  Raises
-        :class:`ServingError` (and latches write-degraded) when no
-        primary can be brought back.
+        :class:`ServingError` when the tier is stopping, and latches
+        write-degraded too when no primary can be brought back.
         """
         with self._failover_lock:
             primary = self._primary
@@ -1226,11 +1198,13 @@ class ReplicatedServingTier:
                 and primary.process is not None and primary.process.is_alive()
             ):
                 return primary
+            if self._stopped:
+                raise ServingError("replicated tier is stopping")
             if self._retrofitter_factory is None:
-                self._degrade(
+                raise self._writes.degrade(ServingError(
                     "primary died and no retrofitter_factory was configured "
                     "— cannot respawn it"
-                )
+                ))
             started = time.perf_counter()
             if primary is not None:
                 self._terminate(primary)
@@ -1242,7 +1216,9 @@ class ReplicatedServingTier:
                 # aligned with both
                 self._spawn_primary(None)
             except (ServingError, OSError, faults.FaultInjected) as error:
-                self._degrade(f"primary respawn failed: {error!r}")
+                raise self._writes.degrade(
+                    ServingError(f"primary respawn failed: {error!r}")
+                ) from None
             self._n_failovers += 1
             self._last_failover_seconds = time.perf_counter() - started
             self._events.emit(
@@ -1253,12 +1229,6 @@ class ReplicatedServingTier:
             )
             return self._primary
 
-    def _degrade(self, message: str) -> None:
-        """Latch write-degraded with ``message`` and raise it."""
-        self._write_degraded = message
-        self._events.emit("write_degraded", reason=message)
-        raise ServingError(message)
-
     # ------------------------------------------------------------------ #
     # writer side
     # ------------------------------------------------------------------ #
@@ -1268,101 +1238,43 @@ class ReplicatedServingTier:
         timeout: float | None = None,
         submission_id: str | None = None,
     ) -> UpdateTicket:
-        """Queue a delta for the primary; returns its ticket.
+        """Queue a delta for the primary (:meth:`WriteCore.submit`).
 
-        Admission is two-staged: the rate limiter rejects sustained
-        over-budget traffic before the delta occupies queue capacity, and
-        the bounded queue blocks when the primary falls behind.  Readers
-        are never throttled by either.  The resolved
-        :attr:`UpdateTicket.version` is the store *log* version the update
-        published at — a read-your-writes floor for :meth:`topk`.
+        The resolved :attr:`UpdateTicket.version` is the store *log*
+        version the update published at — a read-your-writes floor for
+        :meth:`topk`.
         """
-        if self._queue is None:
+        if self._database is None:
             raise ServingError("this tier has no writer side (no retrofitter)")
-        if self._write_degraded is not None:
-            raise WriteDegradedError(
-                f"replicated tier is write-degraded: {self._write_degraded}"
-            )
-        if not self._started or self._stopped:
-            raise ServingError("replicated tier is not running — call start()")
-        if self._rate_limit is not None and not self._rate_limit.acquire(
-            timeout=timeout
-        ):
-            self._rate_limited += 1
-            raise BackpressureError(
-                "write admission rejected: rate limit exceeded "
-                f"({self._rate_limit.rate_per_second:.3g}/s)",
-                retry_after=1.0 / self._rate_limit.rate_per_second,
-            )
-        return self._queue.submit(
+        return self._writes.submit(
             delta, timeout=timeout, submission_id=submission_id
         )
 
     def flush(self, timeout: float | None = None) -> None:
         """Block until every submitted delta has been applied (or failed)."""
-        if self._queue is None:
-            return
-        target = self._queue.last_submitted_seq
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._progress:
-            while self._done_seq < target:
-                if (
-                    self._writer_thread is None
-                    or not self._writer_thread.is_alive()
-                ):
-                    raise ServingError(
-                        "replicated tier writer stopped with deltas queued"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ServingError(f"flush timed out after {timeout}s")
-                self._progress.wait(
-                    0.1 if remaining is None else min(remaining, 0.1)
-                )
+        self._writes.flush(timeout)
 
-    def _writer_loop(self) -> None:
-        while not self._abandon:
-            batch = self._queue.pop(timeout=0.1)
-            if batch is None:
-                if self._queue.closed and len(self._queue) == 0:
-                    return
-                continue
-            self._apply_batch(batch)
-
-    def _apply_batch(self, batch) -> None:
-        if batch.delta.is_empty():
-            self._complete_batch(batch, self._version, mirror=False)
-            return
-        if self._write_degraded is not None:
-            self._fail_batch(batch, ServingError(self._write_degraded))
-            return
+    def _apply(self, delta, publish) -> None:
+        """The tier's apply step: one batch through the primary."""
         for _ in (0, 1):
-            try:
-                primary = self._ensure_primary()
-            except ServingError as error:
-                self._fail_batch(batch, error)
-                return
+            primary = self._ensure_primary()
             # the log decides an in-flight write's fate: the tier is the
             # single writer, so any version past this one is *our* delta
             pre_version = self._store.latest_version(self._artifact)
             try:
-                reply = self._exchange(
-                    primary, ("apply", batch.delta), timeout=None
-                )
+                reply = self._exchange(primary, ("apply", delta), timeout=None)
             except (BrokenPipeError, EOFError, OSError):
                 self._note_death(primary)
-                landed = self._store.latest_version(self._artifact)
-                if landed > pre_version:
+                version = self._store.latest_version(self._artifact)
+                if version > pre_version:
                     # the append committed before the crash — the write
                     # is durable and every worker will replay it
-                    self._complete_batch(batch, landed)
-                    return
+                    certified = True
+                    break
                 continue  # provably not in the log: retry once, respawned
             if reply[0] == "applied":
-                self._complete_batch(batch, int(reply[2]), certified=bool(reply[3]))
-                return
+                _, _, version, certified = reply
+                break
             _, _, message, degraded = reply
             if degraded:
                 # the primary's private database diverged from the log;
@@ -1372,48 +1284,20 @@ class ReplicatedServingTier:
                 # *next* write goes through
                 self._terminate(primary)
                 self._note_death(primary)
-            self._fail_batch(batch, ServingError(message))
-            return
-        self._fail_batch(
-            batch,
-            ServingError("primary died twice while applying one delta"),
-        )
-
-    def _complete_batch(
-        self, batch, version: int, mirror: bool = True, certified: bool = True
-    ) -> None:
+            raise ServingError(message)
+        else:
+            raise ServingError("primary died twice while applying one delta")
         # mirror the acked delta into the front's database copy *before*
         # tickets resolve: a primary respawned after this write must
         # start from a mirror that includes it
-        if mirror:
-            with self._db_lock:
-                batch.delta.apply_to(self._database)
-            self._writes_applied += 1
-        if not certified:
-            self._writes_uncertified += 1
-            self._events.emit("write_uncertified", version=version)
+        with self._db_lock:
+            delta.apply_to(self._database)
         self._advance(version)
-        now = time.perf_counter()
-        for ticket in batch.tickets:
-            ticket._complete(version, now)
-        self._mark_done(batch)
-
-    def _fail_batch(self, batch, error: BaseException) -> None:
-        self._write_failures += 1
-        for ticket in batch.tickets:
-            ticket._fail(error)
-        self._mark_done(batch)
-
-    def _mark_done(self, batch) -> None:
-        with self._progress:
-            self._done_seq = max(
-                self._done_seq, max(t.seq for t in batch.tickets)
-            )
-            self._progress.notify_all()
+        publish(int(version), bool(certified))
 
     def _advance(self, version: int) -> None:
         """Raise the read floor (never lower it: reads are monotonic)."""
-        with self._progress:
+        with self._floor_lock:
             self._version = max(self._version, int(version))
             self._published.value = self._version
 
@@ -1715,7 +1599,7 @@ class ReplicatedServingTier:
     @property
     def write_degraded(self) -> bool:
         """Whether writes are refused (no primary could be brought back)."""
-        return self._write_degraded is not None
+        return self._writes.degraded is not None
 
     def recent_events(self, n: int = 50) -> list[dict]:
         """The tier's latest structured state-transition events."""
@@ -1746,7 +1630,7 @@ class ReplicatedServingTier:
     @property
     def stats(self) -> ReplicatedTierStats:
         """A point-in-time snapshot of the tier's counters."""
-        queue = self._queue.stats if self._queue is not None else None
+        writes = self._writes
         versions = [h.version for h in self._workers() if h.alive]
         return ReplicatedTierStats(
             n_shards=self.n_shards,
@@ -1760,9 +1644,9 @@ class ReplicatedServingTier:
             follower_respawns=self._n_respawns,
             failovers=self._n_failovers,
             last_failover_seconds=self._last_failover_seconds,
-            writes_submitted=queue.submitted if queue else 0,
-            writes_applied=self._writes_applied,
-            write_failures=self._write_failures,
-            writes_rate_limited=self._rate_limited,
-            writes_uncertified=self._writes_uncertified,
+            writes_submitted=writes.queue.stats.submitted,
+            writes_applied=writes.applied,
+            write_failures=writes.failed,
+            writes_rate_limited=writes.rate_limited,
+            writes_uncertified=writes.uncertified,
         )

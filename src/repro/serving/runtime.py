@@ -12,10 +12,15 @@ on top:
   pass instead of two), submission blocks once the queue is full
   (backpressure instead of unbounded memory), and every submission gets an
   :class:`UpdateTicket` that completes when its delta is live.
+* :class:`WriteCore` — the write lifecycle around a queue: admission
+  (degraded latch, running check, rate limit), the applier thread, ticket
+  completion and failure, flush, stop and the write counts.  The runtime
+  and :class:`~repro.serving.replicated.ReplicatedServingTier` share it
+  and differ only in the apply step they hand it.
 * :class:`ServingRuntime` — owns the database, an
   :class:`~repro.retrofit.incremental.IncrementalRetrofitter` and **two**
-  serving sessions.  A background applier thread drains the queue through
-  the existing ``derive_extraction_delta → IncrementalRetrofitter.apply →
+  serving sessions.  Its apply step runs the existing
+  ``derive_extraction_delta → IncrementalRetrofitter.apply →
   ServingSession.apply_update`` pipeline against the *standby* session,
   then publishes it with one atomic reference swap.  Queries never take a
   lock: a reader pins the published snapshot through an epoch slot, runs
@@ -43,18 +48,24 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.db.database import Database
 from repro.db.delta import DatabaseDelta
-from repro.errors import BackpressureError, ServingError, WriteDegradedError
+from repro.errors import (
+    BackpressureError,
+    ServingError,
+    WriteDegradedError,
+    WriteTimeoutError,
+)
 from repro.retrofit.incremental import IncrementalRetrofitter
 from repro.serving.batching import BatchingCore
 from repro.serving.session import IndexFactory, ServingSession
-from repro.util import faults
+from repro.util import EventLog, faults
 
 
 # --------------------------------------------------------------------- #
@@ -117,9 +128,14 @@ class UpdateTicket:
         return self.published_at - self.submitted_at
 
     def wait(self, timeout: float | None = None) -> int:
-        """Block until published; returns the first version including it."""
+        """Block until published; returns the first version including it.
+
+        A wait that runs out while the delta is still pending raises
+        :class:`~repro.errors.WriteTimeoutError`: the write may yet
+        publish, so it is a timeout (HTTP 504), not a failure.
+        """
         if not self._event.wait(timeout):
-            raise ServingError(
+            raise WriteTimeoutError(
                 f"update ticket #{self.seq} not published within {timeout}s"
             )
         if self._error is not None:
@@ -304,6 +320,9 @@ class DeltaQueue:
                 self._not_full.wait(remaining)
                 if self._closed:
                     raise ServingError("delta queue is closed")
+            # numbered when queued: submissions that coalesced while this
+            # one waited for room took the numbers after the one it drew
+            ticket.seq = self._next_seq
             self._batches.append(_WriteBatch(delta, ticket))
             self._next_seq += 1
             self._submitted += 1
@@ -429,6 +448,182 @@ class RateLimiter:
             return self._tokens
 
 
+class WriteCore:
+    """The write lifecycle of :class:`ServingRuntime` and
+    :class:`~repro.serving.replicated.ReplicatedServingTier`.
+
+    The core owns admission (the degraded latch, the running check, the
+    :class:`RateLimiter`, then :meth:`DeltaQueue.submit`), the applier
+    thread, ticket completion and failure, :meth:`flush`, :meth:`stop`
+    and the write counts; an owner supplies its apply step and its
+    current version.  ``apply(delta, publish)`` makes one non-empty batch
+    live and calls ``publish(version, certified)`` once readers see it,
+    which resolves the batch's tickets: work after that (the runtime
+    catching up its retired session) delays :meth:`flush`, never an ack.
+    A step that raises before publishing fails the batch; one that leaves
+    the owner unable to take more writes latches :meth:`degrade` first,
+    and every later batch fails with the latched error.  An empty delta
+    completes at ``version()`` without an apply.  ``events`` receives
+    ``write_uncertified`` and ``write_degraded``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        apply,
+        version,
+        events: EventLog,
+        queue_capacity: int = 64,
+        coalesce: bool = True,
+        max_coalesced_ops: int = 1024,
+        rate_limit: RateLimiter | None = None,
+    ) -> None:
+        self.name = name
+        self.queue = DeltaQueue(queue_capacity, coalesce, max_coalesced_ops)
+        self._apply = apply
+        self._version = version
+        self._events = events
+        self._rate_limit = rate_limit
+        self._thread: threading.Thread | None = None
+        self._exited = False
+        self._abandon = False
+        self._progress = threading.Condition()
+        self._done_seq = -1
+        #: the latched error of a degraded core (``None`` while healthy)
+        self.degraded: BaseException | None = None
+        self.last_error: BaseException | None = None
+        self.applied = self.failed = self.uncertified = self.rate_limited = 0
+        self.lags: deque[float] = deque(maxlen=4096)  # submit→publish
+
+    @property
+    def running(self) -> bool:
+        """Whether writes are accepted: started and not stopped."""
+        return self._thread is not None and not (self._exited or self.queue.closed)
+
+    def start(self) -> None:
+        """Start the applier thread (idempotent)."""
+        if self.queue.closed:
+            raise ServingError(f"cannot restart a stopped {self.name}")
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop, name=f"{self.name} writer", daemon=True
+            )
+            self._thread.start()
+
+    def stop(self, flush: bool = True, timeout: float | None = None) -> None:
+        """Stop taking writes; with ``flush`` the queued ones land first.
+
+        A flush that fails or runs out of ``timeout`` does not wedge
+        shutdown, and a degraded core skips it.  The queue closes, a batch
+        in flight finishes on its own, and every queued batch fails.
+        """
+        if flush and self.degraded is None:
+            with suppress(ServingError):
+                self.flush(timeout)
+        self._abandon = not flush
+        self.queue.close()
+        if self._thread is not None:
+            self._thread.join(timeout)
+        error = ServingError(f"{self.name} stopped before applying the delta")
+        for ticket in self.queue.drain_tickets():
+            ticket._fail(error)
+
+    def submit(
+        self,
+        delta: DatabaseDelta,
+        timeout: float | None = None,
+        submission_id: str | None = None,
+    ) -> UpdateTicket:
+        """Admit and queue ``delta``; returns its ticket at once.
+
+        The rate limiter rejects sustained over-budget traffic before the
+        delta takes queue capacity, and the bounded queue blocks while the
+        apply step falls behind; readers are throttled by neither.
+        """
+        if self.degraded is not None:
+            raise WriteDegradedError(
+                f"{self.name} is write-degraded: {self.degraded}"
+            )
+        if not self.running:
+            raise ServingError(f"{self.name} is not running — call start()")
+        limit = self._rate_limit
+        if limit is not None and not limit.acquire(timeout=timeout):
+            with self._progress:
+                self.rate_limited += 1
+            raise BackpressureError(
+                "write admission rejected: rate limit exceeded "
+                f"({limit.rate_per_second:.3g}/s)",
+                retry_after=1.0 / limit.rate_per_second,
+            )
+        return self.queue.submit(delta, timeout, submission_id)
+
+    def flush(self, timeout: float | None = None) -> None:
+        """Block until every delta submitted so far was applied or failed."""
+        target = self.queue.last_submitted_seq
+        with self._progress:
+            if not self._progress.wait_for(
+                lambda: self._done_seq >= target or self._exited, timeout
+            ):
+                raise ServingError(f"flush timed out after {timeout}s")
+            if self._done_seq < target:
+                raise ServingError(f"{self.name} stopped with deltas queued")
+
+    def degrade(self, error: BaseException) -> BaseException:
+        """Latch write-degraded with ``error``; returns it for ``raise``."""
+        self.degraded = error
+        self._events.emit("write_degraded", reason=str(error))
+        return error
+
+    def _loop(self) -> None:
+        try:
+            while not self._abandon:
+                batch = self.queue.pop()
+                if batch is None:
+                    return  # closed and drained
+                self._run(batch)
+                with self._progress:
+                    self._done_seq = batch.tickets[-1].seq
+                    self._progress.notify_all()
+        finally:
+            with self._progress:
+                self._exited = True
+                self._progress.notify_all()
+
+    def _run(self, batch: _WriteBatch) -> None:
+        if batch.delta.is_empty():
+            version, now = self._version(), time.perf_counter()
+            for ticket in batch.tickets:
+                ticket._complete(version, now)
+            return
+        if self.degraded is not None:
+            self._fail(batch, self.degraded)
+            return
+        try:
+            self._apply(batch.delta, partial(self._publish, batch))
+        except Exception as error:
+            if batch.tickets[0].done:  # published: what followed is unknown
+                self.degrade(error)
+            else:
+                self._fail(batch, error)
+
+    def _fail(self, batch: _WriteBatch, error: BaseException) -> None:
+        self.failed += 1
+        self.last_error = error
+        for ticket in batch.tickets:
+            ticket._fail(error)
+
+    def _publish(self, batch: _WriteBatch, version: int, certified: bool) -> None:
+        # counted before the tickets resolve: a woken waiter sees its write
+        self.applied += 1
+        if not certified:
+            self.uncertified += 1
+            self._events.emit("write_uncertified", version=version)
+        now = time.perf_counter()
+        for ticket in batch.tickets:
+            ticket._complete(version, now)
+            self.lags.append(now - ticket.submitted_at)
+
+
 # --------------------------------------------------------------------- #
 # epoch-based reclamation
 # --------------------------------------------------------------------- #
@@ -520,6 +715,10 @@ class RuntimeStats:
     pending_batches: int
     last_update_lag_seconds: float | None
     mean_update_lag_seconds: float | None
+    writes_rate_limited: int
+    #: Published writes whose refinement rounds ran out with rows still
+    #: over the residual tolerance (``SolverReport.converged`` was False).
+    writes_uncertified: int
 
 
 class ServingRuntime:
@@ -538,7 +737,9 @@ class ServingRuntime:
     call) or hold :meth:`read` open around several queries for a
     consistent snapshot.  Writers call :meth:`submit`, which enqueues and
     returns immediately; the returned ticket resolves once the delta is
-    live.
+    live.  The write lifecycle (admission, queue, tickets, flush, stop,
+    the degraded latch and the write counts) is a :class:`WriteCore`
+    shared with the replicated tier; the runtime supplies its apply step.
     """
 
     def __init__(
@@ -558,12 +759,6 @@ class ServingRuntime:
         self._retrofitter = retrofitter
         self._solve_iterations = solve_iterations
         self._grace_timeout = float(grace_timeout)
-        self._rate_limit = write_rate_limit
-        self._queue = DeltaQueue(
-            capacity=queue_capacity,
-            coalesce=coalesce,
-            max_coalesced_ops=max_coalesced_ops,
-        )
         self._epochs = EpochRegistry()
 
         def build_session() -> ServingSession:
@@ -579,49 +774,37 @@ class ServingRuntime:
         self._standby = build_session()
         self._published.settle_indexes()
         self._standby.settle_indexes()
-
-        self._thread: threading.Thread | None = None
-        self._abandon = False
-        self._degraded: BaseException | None = None
-        self._progress = threading.Condition()
-        self._done_seq = -1
-        self._updates_published = 0
-        self._update_failures = 0
         self._snapshots_reclaimed = 0
-        self._update_lags: deque[float] = deque(maxlen=4096)
-        self._last_error: BaseException | None = None
+        self._events = EventLog("runtime")
+        self._writes = WriteCore(
+            "serving runtime",
+            self._apply,
+            lambda: self._published.version,
+            self._events,
+            queue_capacity=queue_capacity,
+            coalesce=coalesce,
+            max_coalesced_ops=max_coalesced_ops,
+            rate_limit=write_rate_limit,
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     @property
     def running(self) -> bool:
-        """Whether the applier thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
+        """Whether the runtime takes writes: started and not stopped."""
+        return self._writes.running
 
     def start(self) -> "ServingRuntime":
         """Start the background applier thread (idempotent)."""
-        if self.running:
-            return self
-        if self._queue.closed:
-            raise ServingError("cannot restart a stopped runtime")
-        self._thread = threading.Thread(
-            target=self._applier_loop, name="serving-runtime-applier", daemon=True
-        )
-        self._thread.start()
+        self._writes.start()
         return self
 
     def stop(self, flush: bool = True, timeout: float | None = None) -> None:
-        """Stop the applier; with ``flush`` every queued delta lands first."""
-        if flush and self.running:
-            self.flush(timeout=timeout)
-        self._abandon = not flush
-        self._queue.close()
-        if self._thread is not None:
-            self._thread.join(timeout)
-        error = ServingError("serving runtime stopped before applying the delta")
-        for ticket in self._queue.drain_tickets():
-            ticket._fail(error)
+        """Stop taking writes (:meth:`WriteCore.stop`): with ``flush`` every
+        queued delta lands first, within ``timeout``; what is still queued
+        after that fails."""
+        self._writes.stop(flush, timeout)
 
     def __enter__(self) -> "ServingRuntime":
         return self.start()
@@ -639,77 +822,22 @@ class ServingRuntime:
         submission_id: str | None = None,
     ) -> UpdateTicket:
         """Queue a delta for application; returns its ticket immediately."""
-        if self._degraded is not None:
-            raise WriteDegradedError(
-                "serving runtime is degraded (an update failed after "
-                "mutating the database; served vectors may no longer match "
-                "it — rebuild the runtime): "
-                f"{self._degraded}"
-            )
-        if not self.running:
-            raise ServingError("serving runtime is not running — call start()")
-        if self._rate_limit is not None and not self._rate_limit.acquire(
-            timeout=timeout
-        ):
-            raise BackpressureError(
-                "write admission rejected: rate limit exceeded "
-                f"({self._rate_limit.rate_per_second:.3g}/s)",
-                retry_after=1.0 / self._rate_limit.rate_per_second,
-            )
-        return self._queue.submit(
+        return self._writes.submit(
             delta, timeout=timeout, submission_id=submission_id
         )
 
     def flush(self, timeout: float | None = None) -> None:
         """Block until every delta submitted so far has been applied."""
-        target = self._queue.last_submitted_seq
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._progress:
-            while self._done_seq < target:
-                if not self.running:
-                    raise ServingError(
-                        "serving runtime stopped with deltas still queued"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ServingError(f"flush timed out after {timeout}s")
-                # bounded wait so a dead applier is noticed, not hung on
-                self._progress.wait(
-                    0.1 if remaining is None else min(remaining, 0.1)
-                )
+        self._writes.flush(timeout)
 
-    def _applier_loop(self) -> None:
-        while not self._abandon:
-            batch = self._queue.pop(timeout=0.1)
-            if batch is None:
-                if self._queue.closed and len(self._queue) == 0:
-                    return
-                continue
-            self._apply_batch(batch)
-
-    def _apply_batch(self, batch: _WriteBatch) -> None:
-        now = time.perf_counter()
-        if batch.delta.is_empty():
-            for ticket in batch.tickets:
-                ticket._complete(self._published.version, now)
-            self._mark_done(batch)
-            return
-        if self._degraded is not None:
-            self._fail_batch(batch, self._degraded)
-            return
-        try:
-            # write-ahead validation: a delta rejected here provably left
-            # the database untouched, so the runtime stays fully healthy
-            batch.delta.validate_against(self._database)
-        except Exception as error:
-            self._fail_batch(batch, error)
-            return
+    def _apply(self, delta: DatabaseDelta, publish) -> None:
+        # write-ahead validation: a delta rejected here provably left the
+        # database untouched, so the runtime stays fully healthy
+        delta.validate_against(self._database)
         try:
             faults.fire("runtime.apply", "before")
             update = self._retrofitter.apply(
-                self._database, batch.delta, iterations=self._solve_iterations
+                self._database, delta, iterations=self._solve_iterations
             )
             self._standby.apply_update(update)
             self._standby.settle_indexes()
@@ -720,23 +848,14 @@ class ServingRuntime:
             # trusted to match it.  Keep serving reads from the last good
             # snapshot, but refuse further writes instead of silently
             # applying deltas against a misaligned state.
-            self._degraded = error
-            self._queue.close()
-            self._fail_batch(batch, error)
-            return
+            raise self._writes.degrade(error)
 
         # atomic version swap: one reference assignment publishes the new
         # snapshot; readers pinned to the old one finish undisturbed
         retired = self._published
         self._published = self._standby
         epoch = self._epochs.advance()
-        now = time.perf_counter()
-        for ticket in batch.tickets:
-            ticket._complete(self._published.version, now)
-            lag = ticket.lag_seconds
-            if lag is not None:
-                self._update_lags.append(lag)
-        self._updates_published += 1
+        publish(self._published.version, bool(update.report.converged))
 
         # epoch-based reclamation: only mutate the retired snapshot once
         # every reader that could still see it has unpinned
@@ -748,27 +867,11 @@ class ServingRuntime:
             # the retrofitter's (current) embeddings
             self._standby = self._build_session()
             self._standby.settle_indexes()
-            self._mark_done(batch)
             return
         retired.apply_update(update)
         retired.settle_indexes()
         self._standby = retired
         self._snapshots_reclaimed += 1
-        self._mark_done(batch)
-
-    def _fail_batch(self, batch: _WriteBatch, error: BaseException) -> None:
-        self._update_failures += 1
-        self._last_error = error
-        for ticket in batch.tickets:
-            ticket._fail(error)
-        self._mark_done(batch)
-
-    def _mark_done(self, batch: _WriteBatch) -> None:
-        with self._progress:
-            self._done_seq = max(
-                self._done_seq, max(t.seq for t in batch.tickets)
-            )
-            self._progress.notify_all()
 
     # ------------------------------------------------------------------ #
     # reader side
@@ -820,7 +923,7 @@ class ServingRuntime:
     @property
     def last_error(self) -> BaseException | None:
         """The most recent pipeline failure, if any."""
-        return self._last_error
+        return self._writes.last_error
 
     @property
     def degraded(self) -> bool:
@@ -831,22 +934,28 @@ class ServingRuntime:
         vectors can no longer be certified to agree.  Rebuild the runtime
         (re-extract or reload a consistent artifact) to recover.
         """
-        return self._degraded is not None
+        return self._writes.degraded is not None
+
+    def recent_events(self, n: int = 50) -> list[dict]:
+        """The runtime's latest ``write_uncertified``/``write_degraded``
+        events."""
+        return self._events.tail(n)
 
     @property
     def queue_stats(self) -> QueueStats:
         """Counters of the write-ahead queue."""
-        return self._queue.stats
+        return self._writes.queue.stats
 
     @property
     def stats(self) -> RuntimeStats:
         """A point-in-time snapshot of the runtime's counters."""
-        queue = self._queue.stats
-        lags = list(self._update_lags)
+        writes = self._writes
+        queue = writes.queue.stats
+        lags = list(writes.lags)
         return RuntimeStats(
             published_version=self.published_version,
-            updates_published=self._updates_published,
-            update_failures=self._update_failures,
+            updates_published=writes.applied,
+            update_failures=writes.failed,
             snapshots_reclaimed=self._snapshots_reclaimed,
             deltas_submitted=queue.submitted,
             deltas_coalesced=queue.coalesced,
@@ -855,6 +964,8 @@ class ServingRuntime:
             mean_update_lag_seconds=(
                 float(np.mean(lags)) if lags else None
             ),
+            writes_rate_limited=writes.rate_limited,
+            writes_uncertified=writes.uncertified,
         )
 
 

@@ -335,6 +335,30 @@ class TestSeriesSolver:
         assert report.method == "RN"
 
 
+class TestIterationBudget:
+    @pytest.mark.parametrize("method, default", [("series", 10), ("optimization", 20)])
+    def test_none_picks_the_default_and_zero_runs_no_iteration(
+        self, toy_problem, method, default
+    ):
+        extraction, base = toy_problem
+        solver = RetroSolver(extraction, base)
+        _, report = solver.solve(method=method, iterations=None, tolerance=0.0)
+        assert report.iterations == default
+        _, report = solver.solve(method=method, iterations=0)
+        assert report.iterations == 0
+        assert report.shift_history == []
+        assert not report.converged
+
+    @pytest.mark.parametrize("method", ["series", "optimization"])
+    def test_a_budget_that_runs_out_is_not_convergence(self, toy_problem, method):
+        extraction, base = toy_problem
+        solver = RetroSolver(extraction, base)
+        _, report = solver.solve(method=method, iterations=5, tolerance=0.0)
+        assert report.iterations == 5
+        assert report.shift_history[-1] > 0.0
+        assert not report.converged
+
+
 class TestNoRelationsProblem:
     def test_solver_without_relations_uses_alpha_and_beta_only(self):
         from repro.db.database import Database, build_table_schema

@@ -157,6 +157,7 @@ class TestValidation:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 400
 
     def test_unknown_path_is_404(self, served):
