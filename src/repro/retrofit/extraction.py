@@ -23,6 +23,7 @@ uses to carry state across the change.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -49,7 +50,14 @@ class TextValueRecord:
     @property
     def category(self) -> str:
         """The category (qualified column name) of this record."""
-        return f"{self.table}.{self.column}"
+        return _category_name(self.table, self.column)
+
+
+@functools.lru_cache(maxsize=1024)
+def _category_name(table: str, column: str) -> str:
+    # one shared string per column rather than a new one per call: serving
+    # decorates every hit with its category
+    return f"{table}.{column}"
 
 
 @dataclass

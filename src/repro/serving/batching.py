@@ -4,24 +4,25 @@
 :class:`~repro.serving.http.HTTPServingFront` (an event loop) coalesce
 concurrent top-k reads the same way, through one :class:`BatchingCore`:
 
-* A request whose caller waits on it — every HTTP read, and
-  ``BatchedQueryFront.topk`` — is dispatched at once, alone, when no
-  dispatch is in flight: an idle front adds no wait, and waiting could
-  bring that caller no company.
-* Otherwise the request joins its ``(k, category)`` bucket.  A bucket is
-  dispatched when an in-flight dispatch returns (if a caller waits on one
-  of its requests), when it reaches ``max_batch``, or once its oldest
-  request has waited ``window_seconds``.
+* A request joins its ``(k, category)`` bucket.  Once its caller waits on
+  it (:meth:`BatchingCore.wait`) — every HTTP read at once, an in-process
+  read when its caller blocks on the future — the bucket is dispatched at
+  once when no dispatch is in flight: an idle front adds no wait, and
+  waiting could bring that caller no company.
+* Otherwise a bucket is dispatched when an in-flight dispatch returns (if
+  a caller waits on one of its requests), when it reaches ``max_batch``,
+  or once its oldest request has waited ``window_seconds``.
 
 So reads that queue behind a busy target go out together when it frees
 up ("smart batching", M. Thompson, *Mechanical Sympathy*, 2011), and
 without load nobody lingers for a batch that never forms.  A pipelined
 submission (``BatchedQueryFront.submit``, whose caller may send more
-before it waits) is the exception that still lingers: its bucket waits
-up to the window for the caller's next requests, which is what keeps a
-deep in-process pipeline in full batches.  ``window_seconds`` is the
-longest any request waits to share a batch; a bucket whose window runs
-out is dispatched beside a slow batch it queued behind.
+before it waits) lingers until its caller waits: a burst sent before the
+wait goes out as one batch, and nothing idles after it.  A caller that
+never blocks (it only adds done-callbacks) leaves its bucket to the
+window.  ``window_seconds`` is the longest any request waits to share a
+batch; a bucket whose window runs out is dispatched beside a slow batch
+it queued behind.
 
 The core owns the policy, the buckets, the floor merge and the batch
 counters.  A front supplies the transport: ``dispatch(key, vectors,
@@ -29,7 +30,6 @@ floor, futures)`` starts one batch and calls :meth:`BatchingCore.done`
 once the batch has finished, and ``call_later(delay, callback)`` arms a
 bucket's window.
 """
-
 from __future__ import annotations
 
 import threading
@@ -70,8 +70,12 @@ class BatchingCore:
         self._dispatched = 0
         self._largest = 0
 
-    def submit(self, key, vector, floor, future, caller_waits: bool = True) -> None:
-        """Bucket one request, dispatching at once when the policy says so."""
+    def submit(self, key, vector, floor, future):
+        """Bucket one request; returns the ticket :meth:`wait` takes.
+
+        The request lingers for company until its caller waits, its
+        bucket fills or its window runs out.
+        """
         armed = None
         with self._cond:
             if self._closed:
@@ -80,16 +84,33 @@ class BatchingCore:
             if bucket is None:
                 bucket = armed = self._buckets[key] = []
             bucket.append((vector, floor, future))
-            if caller_waits:
-                self._waited.add(key)
             ready = []
-            if len(bucket) >= self._max_batch or (
-                caller_waits and self._in_flight == 0
-            ):
+            if len(bucket) >= self._max_batch:
                 ready.append((key, self._pop(key)))
-            self._count(ready)
+                self._count(ready)
         if armed is not None and not ready:
             self._call_later(self._window, partial(self._expire, key, armed))
+        self._start(ready)
+        return key, bucket
+
+    def wait(self, ticket) -> None:
+        """The caller of ``ticket``'s request now waits on it.
+
+        Its bucket goes out at once when no dispatch is in flight, else
+        when the next one returns.  A request already dispatched changes
+        nothing: the bucket is checked by identity, so a later bucket
+        under the same key keeps its window.
+        """
+        key, bucket = ticket
+        with self._cond:
+            if self._buckets.get(key) is not bucket:
+                return
+            ready = []
+            if self._in_flight == 0:
+                ready.append((key, self._pop(key)))
+                self._count(ready)
+            else:
+                self._waited.add(key)
         self._start(ready)
 
     def done(self) -> None:

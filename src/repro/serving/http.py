@@ -831,7 +831,10 @@ class HTTPServingFront:
     async def _submit_query(self, vector, k, category, min_version):
         """Dispatch now if idle, else join the ``(k, category)`` bucket."""
         future = asyncio.get_running_loop().create_future()
-        self._batcher.submit((k, category), vector, min_version, future)
+        # the handler waits on every read it submits
+        self._batcher.wait(
+            self._batcher.submit((k, category), vector, min_version, future)
+        )
         return await future
 
     def _call_later(self, delay: float, callback) -> None:

@@ -27,6 +27,12 @@ and batched (``query_batch``) top-k search under cosine or dot-product
 similarity.  Batched IVF search is grouped *by cell* rather than by query so
 that every partial score computation is one dense matrix product.
 
+Every family ranks its answer the same way: ``(score descending, row id
+ascending)``, where the scores of the returned rows come from one fixed
+row kernel (:meth:`VectorIndex._exact_scores`).  A BLAS product rounds a
+row's score differently depending on the batch and the matrix it sits in,
+so two identical vectors could otherwise trade places on last-ulp noise.
+
 Which index to pick
 -------------------
 * **Flat** — exact, zero build cost, memory = the matrix.  Right below a
@@ -57,47 +63,77 @@ _EPSILON = 1e-12
 
 METRICS = ("cosine", "dot")
 
+#: Entries gathered per chunk of :meth:`VectorIndex._exact_scores`: keeps
+#: its temporaries small however many queries a batch holds.
+_RESCORE_CHUNK = 1 << 15
 
-def topk_descending(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest entries per row, in descending order.
+
+def _shortlist(scores: np.ndarray, k: int, slack) -> np.ndarray:
+    """Positions of every entry within ``slack`` of its row's ``k``-th score.
+
+    ``scores`` is ``(batch, n)`` with ``1 <= k <= n``; ``slack`` is a
+    scalar or one value per row.  Returns ``(batch, m)`` positions,
+    ``m >= k``, a row holding fewer than ``m`` padded with ``-1``.  One
+    ``argpartition`` places the ``k`` largest entries and the next one; a
+    row is scanned in full only when that next entry is itself within
+    ``slack`` of the ``k``-th, i.e. when a tie straddles the boundary.
+    """
+    batch, n = scores.shape
+    if k >= n:
+        return np.broadcast_to(np.arange(n), (batch, n))
+    part = np.argpartition(scores, n - k - 1, axis=1)
+    top = part[:, n - k:]
+    rows = np.arange(batch)
+    floor = scores[rows[:, None], top].min(axis=1) - slack
+    straddle = np.flatnonzero(scores[rows, part[:, n - k - 1]] >= floor)
+    if not straddle.size:
+        return top
+    within = [np.flatnonzero(scores[row] >= floor[row]) for row in straddle]
+    out = np.full((batch, max(k, max(p.size for p in within))), -1, np.int64)
+    out[:, :k] = top
+    for row, positions in zip(straddle, within):
+        out[row] = -1
+        out[row, : positions.size] = positions
+    return out
+
+
+def topk_descending(scores: np.ndarray, k: int, ids=None) -> np.ndarray:
+    """Positions of the ``k`` largest entries per row, in descending order.
 
     Works on a 1-D vector (returns shape ``(k,)``) or a 2-D batch of score
-    rows (returns shape ``(batch, k)``).  Uses ``argpartition`` to select the
-    top ``k`` in linear time and only sorts those ``k`` entries.
+    rows (returns shape ``(batch, min(k, n))``).  ``argpartition`` selects
+    the top ``k`` in linear time and only those are sorted.
 
-    Ties are broken deterministically by ascending index — both *within*
-    the returned ordering and at the selection boundary (among equal
-    ``k``-th scores, the lowest indices win).  ``argpartition`` alone picks
-    an arbitrary subset of boundary ties, which would make per-shard top-k
-    results impossible to merge into exactly the single-index answer.
+    Equal scores are ordered by ascending ``ids`` (an array shaped like
+    ``scores``; by default the position itself) — both *within* the
+    returned ordering and at the selection boundary, where the tie is
+    settled only among the entries that hold the ``k``-th score.  This is
+    the result of a full ``np.lexsort((ids, -scores))`` cut to ``k``:
+    ``argpartition`` alone picks an arbitrary subset of boundary ties,
+    which would make per-shard top-k results impossible to merge into
+    exactly the single-index answer.
     """
     scores = np.asarray(scores)
     single = scores.ndim == 1
     if single:
         scores = scores[None, :]
+        ids = None if ids is None else np.asarray(ids)[None, :]
     batch, n = scores.shape
     k = min(int(k), n)
     if k <= 0:
         empty = np.empty((batch, 0), dtype=np.int64)
         return empty[0] if single else empty
+    positions = _shortlist(scores, k, 0.0)
     rows = np.arange(batch)[:, None]
-    if k < n:
-        part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        # the k-th order statistic bounds the selection; entries strictly
-        # above it are always in, boundary ties are filled lowest-index-first
-        boundary = scores[rows, part].min(axis=1, keepdims=True)
-        above = scores > boundary
-        tied = scores == boundary
-        need = k - above.sum(axis=1, keepdims=True)
-        tie_rank = np.cumsum(tied, axis=1) - 1
-        selected = above | (tied & (tie_rank < need))
-        # nonzero walks row-major, so columns come out ascending per row
-        cols = np.nonzero(selected)[1].reshape(batch, k)
-    else:
-        cols = np.broadcast_to(np.arange(n), scores.shape)
-    # stable sort over ascending-index columns: equal scores keep index order
-    order = np.argsort(-scores[rows, cols], axis=1, kind="stable")
-    result = cols[rows, order].astype(np.int64)
+    padding = positions < 0
+    picked = np.where(padding, 0, positions)
+    keys = picked if ids is None else np.asarray(ids)[rows, picked]
+    values = scores[rows, picked]
+    if padding.any():
+        values = np.where(padding, -np.inf, values)
+        keys = np.where(padding, np.iinfo(np.int64).max, keys)
+    order = np.lexsort((keys, -values), axis=-1)[:, :k]
+    result = np.take_along_axis(positions, order, axis=1)
     return result[0] if single else result
 
 
@@ -254,13 +290,96 @@ class VectorIndex(ABC):
         numerically-vanishing norm, e.g. near-cancellation during solving)
         score ~0 instead of having their noise direction rank at the top.
         """
-        products = rows @ queries.T
+        return self._normalise((rows @ queries.T).T, row_norms, queries).T
+
+    def _normalise(
+        self, products: np.ndarray, row_norms: np.ndarray, queries: np.ndarray
+    ) -> np.ndarray:
+        """Turn ``(batch, m)`` products into scores, in place for cosine.
+
+        ``row_norms`` is ``(m,)`` or one row per query; the clamp is the
+        one :meth:`_score_rows` documents.
+        """
         if self.metric == "dot":
             return products
         query_norms = np.linalg.norm(queries, axis=1)
-        denom = row_norms[:, None] * (query_norms[None, :] + _EPSILON)
+        denom = row_norms * (query_norms[:, None] + _EPSILON)
         denom[denom < _EPSILON] = _EPSILON
-        return products / denom
+        products /= denom
+        return products
+
+    def _exact_scores(self, queries: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Score of row ``ids[b, j]`` against ``queries[b]``, shape of ``ids``.
+
+        One fixed row kernel: an elementwise product summed along the row,
+        whose rounding depends on the two vectors alone — unlike a BLAS
+        product's, which depends on the shape of the batch and of the
+        matrix around the row.  So identical vectors score identically in
+        every index, shard and batch, and their tie breaks by id.
+        """
+        products = np.empty(ids.shape, dtype=self.matrix.dtype)
+        step = max(1, _RESCORE_CHUNK // max(1, ids.shape[1] * self.dimension))
+        for start in range(0, ids.shape[0], step):
+            chunk = slice(start, start + step)
+            products[chunk] = np.sum(
+                self.matrix[ids[chunk]] * queries[chunk, None, :], axis=2
+            )
+        return self._normalise(products, self._row_norms[ids], queries)
+
+    def _rounding_slack(self, queries: np.ndarray):
+        """How far a BLAS score may sit from :meth:`_exact_scores`'s, per query.
+
+        Any summation order computes a length-``d`` dot product within
+        ``γ_d·‖r‖·‖q‖`` of its exact value, ``γ_d ≈ d·u`` (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, §3.1); a cosine
+        divides that by about ``‖r‖·‖q‖``.  Two kernels differ by twice
+        that at most; the margin below also covers the division.
+        """
+        gamma = 4.0 * (self.dimension + 2) * float(np.finfo(self.matrix.dtype).eps)
+        if self.metric == "cosine" or self.n_rows == 0:
+            return gamma
+        return gamma * np.linalg.norm(queries, axis=1) * float(self._row_norms.max())
+
+    def _select(
+        self,
+        queries: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+        ids: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The top ``k`` of BLAS-scored candidates, ranked by the row kernel.
+
+        ``scores`` is ``(batch, width)`` with ``-inf`` for padding or
+        tombstones, ``ids`` the row id of each candidate (default: its
+        position).  Every candidate within :meth:`_rounding_slack` of the
+        ``k``-th score is re-scored by :meth:`_exact_scores` and the
+        answer is ordered by ``(score descending, id ascending)``; a
+        slot past the reachable candidates holds ``-1`` / ``-inf``.
+        """
+        batch, width = scores.shape
+        k = min(int(k), width)
+        if k <= 0:
+            return (
+                np.empty((batch, 0), dtype=np.int64),
+                np.empty((batch, 0), dtype=np.float64),
+            )
+        positions = _shortlist(scores, k, self._rounding_slack(queries))
+        rows = np.arange(batch)[:, None]
+        picked = np.where(positions < 0, 0, positions)
+        live = (positions >= 0) & np.isfinite(scores[rows, picked])
+        candidates = np.where(
+            live, picked if ids is None else ids[rows, picked], 0
+        )
+        exact = self._exact_scores(queries, candidates).astype(np.float64)
+        exact[~live] = -np.inf
+        # a dead slot carries the largest id, so it ranks after every live one
+        order = topk_descending(
+            exact, k, ids=np.where(live, candidates, np.iinfo(np.int64).max)
+        )
+        top_ids = np.take_along_axis(candidates, order, axis=1)
+        top_scores = np.take_along_axis(exact, order, axis=1)
+        top_ids[~np.isfinite(top_scores)] = -1
+        return top_ids, top_scores
 
     def query(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` row indices and scores for one query vector."""
@@ -296,24 +415,14 @@ class FlatIndex(VectorIndex):
         self, queries: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         queries = self._prepare_queries(queries)
-        if self.n_rows == 0:
-            batch = queries.shape[0]
-            return (
-                np.empty((batch, 0), dtype=np.int64),
-                np.empty((batch, 0), dtype=np.float64),
-            )
-        scores = self._score_rows(self.matrix, self._row_norms, queries).T
-        if self.has_tombstones:
-            scores[:, ~self._active] = -np.inf
-        indices = topk_descending(scores, k)
-        rows = np.arange(queries.shape[0])[:, None]
-        top_scores = scores[rows, indices]
+        scores = self._normalise(
+            queries @ self.matrix.T, self._row_norms, queries
+        )
         if self.has_tombstones:
             # a tombstoned row can only surface when k exceeds the number
-            # of active rows; mark it like the IVF padding does
-            indices = indices.copy()
-            indices[~np.isfinite(top_scores)] = -1
-        return indices, top_scores
+            # of active rows; it comes back as -1 like the IVF padding
+            scores[:, ~self._active] = -np.inf
+        return self._select(queries, scores, k)
 
     def add(self, vectors: np.ndarray) -> np.ndarray:
         return self._append_rows(self._prepare_new_vectors(vectors))
@@ -504,11 +613,12 @@ class IVFIndex(VectorIndex):
 
         Rows whose assignment is ``-1`` (e.g. appended by a delta record
         after the index was saved) are assigned to their nearest centroid —
-        the whole k-means training pass is still skipped.
+        the whole k-means training pass is still skipped.  The matrix keeps
+        its dtype, as in :meth:`from_state`.
         """
         assignments = np.asarray(assignments, dtype=np.int64).copy()
         centroids = np.asarray(centroids, dtype=np.float64)
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
         missing = np.nonzero(assignments < 0)[0]
         if missing.size:
             if centroids.ndim != 2 or centroids.shape[1] != matrix.shape[1]:
@@ -683,43 +793,52 @@ class IVFIndex(VectorIndex):
             self.rebalance()  # lazy: piles of adds/removes settle here
         queries = self._prepare_queries(queries)
         batch = queries.shape[0]
+        if batch == 0:
+            return self._select(queries, np.empty((0, 0)), k)
         probed = self._probed_cells(queries)
+        n_probed = probed.shape[1]
 
-        cell_queries: dict[int, list[int]] = {}
-        for row, cells in enumerate(probed):
-            for cell in cells:
-                cell_queries.setdefault(int(cell), []).append(row)
+        # row q of the candidate matrix holds its probed cells end to end,
+        # in probe order, then -inf padding up to the widest row
+        cell_sizes = np.fromiter(
+            (ids.size for ids in self._cell_ids), np.int64, self.n_cells
+        )
+        sizes = cell_sizes[probed]
+        ends = np.cumsum(sizes, axis=1)
+        starts = ends - sizes
+        width = int(ends[:, -1].max())
+        columns = np.arange(width)
+        padding = columns >= ends[:, -1:]
 
-        counts = np.zeros(batch, dtype=np.int64)
-        for cell, rows in cell_queries.items():
-            counts[rows] += self._cell_ids[cell].size
-        width = int(counts.max()) if batch else 0
+        # ids and norms: one gather from the cells laid end to end
+        offsets = np.zeros((batch, n_probed + 1), dtype=np.int64)
+        offsets[:, :-1] = (np.cumsum(cell_sizes) - cell_sizes)[probed] - starts
+        lengths = np.empty_like(offsets)
+        lengths[:, :-1] = sizes
+        lengths[:, -1] = width - ends[:, -1]
+        source = np.repeat(offsets.ravel(), lengths.ravel()).reshape(batch, width)
+        source += columns
+        source[padding] = 0
+        ids = np.concatenate(self._cell_ids)[source]
+        ids[padding] = -1
+        norms = np.concatenate(self._cell_norms)[source]
 
-        candidate_ids = np.full((batch, width), -1, dtype=np.int64)
-        candidate_scores = np.full((batch, width), -np.inf, dtype=np.float64)
-        fill = np.zeros(batch, dtype=np.int64)
-        for cell, rows in cell_queries.items():
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
-                continue
-            block = self._score_rows(
-                self._cell_matrices[cell], self._cell_norms[cell], queries[rows]
-            )
-            for position, row in enumerate(rows):
-                start = fill[row]
-                candidate_ids[row, start:start + ids.size] = ids
-                candidate_scores[row, start:start + ids.size] = block[:, position]
-                fill[row] += ids.size
-
-        k = min(int(k), width) if width else 0
-        if k <= 0:
-            return (
-                np.empty((batch, 0), dtype=np.int64),
-                np.empty((batch, 0), dtype=np.float64),
-            )
-        best = topk_descending(candidate_scores, k)
-        rows_arange = np.arange(batch)[:, None]
-        indices = candidate_ids[rows_arange, best]
-        scores = candidate_scores[rows_arange, best]
-        indices[~np.isfinite(scores)] = -1
-        return indices, scores
+        # products: the (query, cell) pairs grouped by cell, so each probed
+        # cell is one GEMM against its queries and one block write
+        products = np.full((batch, width), -np.inf, dtype=queries.dtype)
+        pairs = np.argsort(probed, axis=None, kind="stable")
+        cells = probed.ravel()[pairs]
+        rows = pairs // n_probed
+        first_columns = starts.ravel()[pairs]
+        first = 0
+        for last in (*(np.flatnonzero(np.diff(cells)) + 1).tolist(), pairs.size):
+            cell = cells[first]
+            group = rows[first:last]
+            products[
+                group[:, None],
+                first_columns[first:last, None] + columns[: cell_sizes[cell]],
+            ] = queries[group] @ self._cell_matrices[cell].T
+            first = last
+        return self._select(
+            queries, self._normalise(products, norms, queries), k, ids
+        )

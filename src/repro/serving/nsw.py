@@ -19,8 +19,8 @@ tiers need to drain delta streams without a stop-the-world settle.
 The graph is deterministic: no RNG is involved, ties break by ascending
 row id everywhere, and with ``ef_search >= n_rows`` on a connected graph
 the walk visits every row, returning exactly :class:`FlatIndex`'s answer
-(scores come from the same exact formula — the graph only decides
-*which* rows get scored, so they agree to BLAS rounding of the last bit).
+(the graph only decides *which* rows get scored; the answer is ranked by
+the same row kernel, so it agrees bit for bit).
 
 Serialisation follows the `IVFIndex` pattern: :attr:`adjacency` exports
 a padded int64 matrix (``-1`` = unused slot), :meth:`from_state` restores
@@ -36,7 +36,7 @@ import heapq
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.index import _EPSILON, VectorIndex, topk_descending
+from repro.serving.index import _EPSILON, VectorIndex
 
 NOT_INSERTED = -2
 """Marker in ``adjacency[row, 0]``: row awaits (re-)insertion."""
@@ -504,25 +504,15 @@ class NSWIndex(VectorIndex):
         per_query: list[tuple[np.ndarray, np.ndarray]] = []
         width = 0
         for row in range(batch):
-            ids, _ = self._beam(queries[row], ef)
-            if ids.size:
-                ids = ids[self._active[ids]]
-            if ids.size:
-                # tie-stable ordering by (score desc, id asc): sort the
-                # visited set ascending by id and re-score it in ONE call —
-                # the walk scored nodes in per-expansion chunks, whose
-                # rounding can differ in the last bit between identical
-                # rows, which would break tie ordering
-                ids = np.sort(ids)
-                sims = self._score_rows(
-                    self.matrix[ids],
-                    self._row_norms[ids],
-                    queries[row:row + 1],
-                )[:, 0].astype(np.float64, copy=False)
-                take = topk_descending(sims, min(int(k), ids.size))
-                ids, sims = ids[take], sims[take]
-            else:
-                sims = np.empty(0, dtype=np.float64)
+            ids, sims = self._beam(queries[row], ef)
+            live = self._active[ids]
+            # the walk scored nodes in per-expansion chunks, whose rounding
+            # can differ in the last bit between identical rows: the
+            # row-kernel re-rank orders the visited set by (score, id)
+            ids, sims = self._select(
+                queries[row:row + 1], sims[None, live], k, ids[None, live]
+            )
+            ids, sims = ids[0], sims[0]
             per_query.append((ids, sims))
             width = max(width, ids.size)
         k = min(int(k), width)

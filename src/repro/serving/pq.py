@@ -509,30 +509,23 @@ class PQIndex(VectorIndex):
             )
         rows_arange = np.arange(batch)[:, None]
         if self.rerank <= 0:
-            best = topk_descending(candidate_scores, k)
+            best = topk_descending(candidate_scores, k, ids=candidate_ids)
             indices = candidate_ids[rows_arange, best]
             scores = candidate_scores[rows_arange, best]
             indices[~np.isfinite(scores)] = -1
             return indices, scores
 
         shortlist = min(max(self.rerank, k), width)
-        best = topk_descending(candidate_scores, shortlist)
+        best = topk_descending(candidate_scores, shortlist, ids=candidate_ids)
         short_ids = candidate_ids[rows_arange, best]
-        short_adc = candidate_scores[rows_arange, best]
-        indices = np.full((batch, k), -1, dtype=np.int64)
-        scores = np.full((batch, k), -np.inf, dtype=np.float64)
-        for row in range(batch):
-            ids = short_ids[row][np.isfinite(short_adc[row])]
-            if ids.size == 0:
-                continue
-            # exact re-rank, tie-stable by global id: sort the shortlist
-            # ascending so the stable sort inside topk_descending breaks
-            # equal exact scores exactly like FlatIndex does
-            ids = np.sort(ids)
-            exact = self._score_rows(
-                self.matrix[ids], self._row_norms[ids], queries[row:row + 1]
-            )[:, 0]
-            take = topk_descending(exact, min(k, ids.size))
-            indices[row, : take.size] = ids[take]
-            scores[row, : take.size] = exact[take]
+        live = np.isfinite(candidate_scores[rows_arange, best])
+        short_ids[~live] = 0
+        # exact re-rank by the row kernel every family ranks with, so equal
+        # vectors tie exactly and break by id as in FlatIndex
+        exact = self._exact_scores(queries, short_ids).astype(np.float64)
+        exact[~live] = -np.inf
+        take = topk_descending(exact, k, ids=short_ids)
+        indices = short_ids[rows_arange, take]
+        scores = exact[rows_arange, take]
+        indices[~np.isfinite(scores)] = -1
         return indices, scores

@@ -1031,17 +1031,42 @@ class _Timers:
             callback()
 
 
+class _PipelinedRead(Future):
+    """A :meth:`BatchedQueryFront.submit` future that tells the batching
+    core when its caller blocks on it (:meth:`result`/:meth:`exception`);
+    a done-callback or ``concurrent.futures.wait`` leaves it to the window."""
+
+    def __init__(self, batcher: BatchingCore) -> None:
+        super().__init__()
+        self._batcher = batcher
+        self._ticket = None
+
+    def result(self, timeout: float | None = None):
+        self._waited()
+        return super().result(timeout)
+
+    def exception(self, timeout: float | None = None):
+        self._waited()
+        return super().exception(timeout)
+
+    def _waited(self) -> None:
+        ticket, self._ticket = self._ticket, None
+        if ticket is not None and not self.done():
+            self._batcher.wait(ticket)
+
+
 class BatchedQueryFront:
     """Coalesce concurrent ``top_k`` requests into batched index queries.
 
     The policy is :class:`~repro.serving.batching.BatchingCore`'s, shared
-    with the HTTP front.  A blocking :meth:`topk` that finds no batch in
-    flight runs at once; requests that arrive while one runs are grouped
-    by ``(k, category)`` and dispatched together when it returns, when a
-    group reaches ``max_batch``, or once its oldest request has waited
-    ``window_seconds``.  A pipelined :meth:`submit` — its caller may send
-    more before it waits — waits up to the window for company, so a deep
-    pipeline keeps full batches.  Each batch is one
+    with the HTTP front.  A request lingers in its ``(k, category)``
+    group until its caller blocks on it — at once for :meth:`topk`, at
+    the first ``result()`` for a pipelined :meth:`submit`, so a burst sent
+    before that wait goes out as one batch.  From then on the group is
+    dispatched at once when no batch is in flight, else when the running
+    batch returns; a group also goes out when it reaches ``max_batch`` or
+    once its oldest request has waited ``window_seconds`` (the only way
+    out for a caller that never blocks).  Each batch is one
     :meth:`ServingSession.topk_batch` call against one pinned snapshot, on
     a thread pool, so a group whose window ran out behind a slow batch
     runs beside it; with the batched kernels a full batch costs barely
@@ -1075,12 +1100,24 @@ class BatchedQueryFront:
     ) -> Future:
         """Queue one pipelined top-k request; resolves to its result triples.
 
-        It waits up to ``window_seconds`` for company unless a batch
-        forms sooner.  A malformed vector fails here, synchronously — it
-        must never make it into a batch, where one bad shape would poison
-        the co-batched requests' matrix build.
+        It waits for company until its caller blocks on the future (or
+        the window runs out).  A malformed vector fails here,
+        synchronously — it must never make it into a batch, where one bad
+        shape would poison the co-batched requests' matrix build.
         """
-        return self._enqueue(vector, k, category, caller_waits=False)
+        vector = np.asarray(vector, dtype=np.float64)
+        if self._dimension is not None and vector.shape != (self._dimension,):
+            raise ServingError(
+                f"query vector has shape {vector.shape}, "
+                f"expected ({self._dimension},)"
+            )
+        future = _PipelinedRead(self._batcher)
+        future._ticket = self._batcher.submit(
+            (int(k), category), vector, None, future
+        )
+        with self._count_lock:
+            self._n_requests += 1
+        return future
 
     def topk(
         self,
@@ -1090,22 +1127,7 @@ class BatchedQueryFront:
         timeout: float | None = None,
     ) -> list[tuple[str, str, float]]:
         """Blocking top-k: dispatched at once when no batch is in flight."""
-        return self._enqueue(vector, k, category, caller_waits=True).result(timeout)
-
-    def _enqueue(self, vector, k, category, caller_waits: bool) -> Future:
-        vector = np.asarray(vector, dtype=np.float64)
-        if self._dimension is not None and vector.shape != (self._dimension,):
-            raise ServingError(
-                f"query vector has shape {vector.shape}, "
-                f"expected ({self._dimension},)"
-            )
-        future: Future = Future()
-        self._batcher.submit(
-            (int(k), category), vector, None, future, caller_waits=caller_waits
-        )
-        with self._count_lock:
-            self._n_requests += 1
-        return future
+        return self.submit(vector, k, category).result(timeout)
 
     @property
     def stats(self) -> FrontStats:

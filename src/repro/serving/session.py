@@ -20,6 +20,7 @@ requests without touching the solver:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -486,14 +487,14 @@ class ServingSession:
         records = self.embeddings.extraction.records
         rows = self._scope_rows[category]
         results: list[tuple[str, str, float]] = []
-        for position, score in zip(indices, scores):
-            if position < 0 or not np.isfinite(score):
+        for position, score in zip(indices.tolist(), scores.tolist()):
+            if position < 0 or not math.isfinite(score):
                 continue
-            record_index = rows[int(position)]
+            record_index = rows[position]
             if record_index < 0:
                 continue  # index row whose record was removed by an update
             record = records[record_index]
-            results.append((record.category, record.text, float(score)))
+            results.append((record.category, record.text, score))
         return results
 
     # ------------------------------------------------------------------ #

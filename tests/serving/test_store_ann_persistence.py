@@ -161,8 +161,12 @@ class TestNSWStorePersistence:
         queries = rng.normal(size=(8, loaded_set.dimension))
         queries[0] = loaded_set.vector_for("movies.title", "silent meridian 3")
         want_ids, _ = flat.query_batch(queries, 5)
-        got_ids, _ = loaded.query_batch(queries, 5)
+        got_ids, got_scores = loaded.query_batch(queries, 5)
         np.testing.assert_array_equal(got_ids, want_ids)
+        # the three inserted titles share one vector: the tie ranks by id
+        texts = [loaded_set.extraction.records[int(i)].text for i in got_ids[0, :3]]
+        assert texts == [f"silent meridian {key}" for key in (1, 2, 3)]
+        assert got_scores[0, 0] == got_scores[0, 1] == got_scores[0, 2]
 
 
 class TestFloat32Storage:

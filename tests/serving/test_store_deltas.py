@@ -64,8 +64,11 @@ class TestDeltaRecords:
         query = retrofitter.embeddings.vector_for(
             "movies.title", "silent meridian 2"
         )
-        hits, _ = index.query(query, 1)
-        assert loaded.extraction.records[int(hits[0])].text == "silent meridian 2"
+        hits, scores = index.query(query, 2)
+        texts = [loaded.extraction.records[int(hit)].text for hit in hits]
+        # both inserted titles retrofit to one vector: the tie ranks by id
+        assert texts == ["silent meridian 1", "silent meridian 2"]
+        assert scores[0] == scores[1]
 
     def test_replay_preserves_value_to_vector_mapping(self, stream):
         """Regression: the store writes headers with sorted JSON keys, which
